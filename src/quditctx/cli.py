@@ -13,9 +13,11 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .bell import (
@@ -29,7 +31,7 @@ from .clifford import is_conjugation_closed, traceless_set
 from .errors import QuditCtxError
 from .graphs import automorphism_count, orthogonality_graph
 from .invariants import compute_report, induced_odd_cycles, lovasz_theta
-from .states import enumerate_single, enumerate_two_qudit, family_counts
+from .states import enumerate_single, enumerate_two_qudit, family_counts, group_tables
 from .zmod import require_prime
 
 SCHEMA_VERSION = 1
@@ -52,10 +54,11 @@ def build_family(d: int, family: str):
 def cover_hint_by_basis(fam) -> list[list[int]]:
     """Group states by the unsigned part of their stabilizer subspace; each
     group is an orthonormal basis, hence a clique of the orthogonality graph."""
-    blocks: dict[frozenset, list[int]] = {}
-    for i, s in enumerate(fam.states):
-        blocks.setdefault(s.group_keys(), []).append(i)
-    return [sorted(b) for b in sorted(blocks.values())]
+    key_idx, _ = group_tables(fam.states)
+    blocks: dict[bytes, list[int]] = {}
+    for i, keys in enumerate(np.sort(key_idx, axis=1)):
+        blocks.setdefault(keys.tobytes(), []).append(i)
+    return sorted(blocks.values())
 
 
 def _emit(payload: dict, config) -> None:
@@ -138,7 +141,7 @@ def cmd_counts(config) -> dict:
 def cmd_invariants(config) -> dict:
     d = config.dimension
     fam = build_family(d, config.family)
-    graph = orthogonality_graph(fam, jobs=config.jobs)
+    graph = orthogonality_graph(fam)
     hint = cover_hint_by_basis(fam)
     normal_cayley = False
     if config.family == "ent" and d > 2:
@@ -238,7 +241,7 @@ def cmd_export(config) -> dict:
         name = f"chsh-d{d}"
     else:
         fam = build_family(d, config.family)
-        graph = orthogonality_graph(fam, jobs=config.jobs)
+        graph = orthogonality_graph(fam)
         name = f"{config.family}-d{d}"
     out = config.out or f"{name}.{'dimacs' if config.format == 'dimacs' else 'json'}"
     text = graph.to_dimacs() if config.format == "dimacs" else graph.to_json()
@@ -272,8 +275,6 @@ def make_parser() -> argparse.ArgumentParser:
                         dest="budget_seconds")
     common.add_argument("--tolerance", type=float, default=1e-6)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for graph construction")
     common.add_argument("--format", choices=["table", "json", "csv", "dimacs"],
                         default="json")
     common.add_argument("--out", default=None)
@@ -314,8 +315,12 @@ def main(argv: list[str] | None = None) -> int:
         require_prime(config.dimension)
         if not 0 < config.tolerance < 1e-1:
             raise QuditCtxError("tolerance must lie in (0, 0.1)")
-        if config.budget_seconds <= 0:
-            raise QuditCtxError("budget must be positive")
+        if not (math.isfinite(config.budget_seconds) and config.budget_seconds > 0):
+            raise QuditCtxError("budget must be a positive finite number of seconds")
+        if config.theta_cap <= 0:
+            raise QuditCtxError("theta cap must be positive")
+        if getattr(config, "k_max", 1) <= 0:
+            raise QuditCtxError("k-max must be positive")
         payload = HANDLERS[config.command](config)
     except QuditCtxError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,3 +59,7 @@ class DecompositionMismatchError(QuditCtxError, ValueError):
 
 class SearchFailedError(QuditCtxError, RuntimeError):
     """Bounded search did not find a configuration satisfying the identity."""
+
+
+class DimacsFormatError(QuditCtxError, ValueError):
+    """DIMACS graph text is malformed or disagrees with its problem line."""

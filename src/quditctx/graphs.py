@@ -10,11 +10,16 @@ JSON I/O and a small exact isomorphism search.
 from __future__ import annotations
 
 import json
-from multiprocessing import get_context
+
+import numpy as np
 
 from .clifford import CliffordElement
-from .errors import BadConnectionSetError, ShapeMismatchError
-from .states import StateFamily, is_orthogonal
+from .errors import BadConnectionSetError, DimacsFormatError, ShapeMismatchError
+from .pauli import phase_order
+from .states import StateFamily, group_tables
+
+# Rows of W W^T computed per block, so a block of float32 entries stays near 8 MB.
+_GRAM_BLOCK_ENTRIES = 1 << 21
 
 
 class Graph:
@@ -76,7 +81,7 @@ class Graph:
         return bool(self.rows[i] >> j & 1)
 
     def degree(self, i: int) -> int:
-        return bin(self.rows[i]).count("1")
+        return self.rows[i].bit_count()
 
     def degrees(self) -> list[int]:
         return [self.degree(i) for i in range(self.n)]
@@ -130,17 +135,33 @@ class Graph:
     @classmethod
     def from_dimacs(cls, text: str) -> "Graph":
         n = None
+        declared = 0
         edges = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             parts = line.split()
             if not parts or parts[0] == "c":
                 continue
             if parts[0] == "p":
-                n = int(parts[2])
+                if n is not None:
+                    raise DimacsFormatError(f"line {lineno}: second problem line")
+                n, declared = _dimacs_pair(parts[2:], lineno)
+                if n < 0 or declared < 0:
+                    raise DimacsFormatError(f"line {lineno}: negative size")
             elif parts[0] == "e":
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+                if n is None:
+                    raise DimacsFormatError(f"line {lineno}: edge before the problem line")
+                i, j = _dimacs_pair(parts[1:], lineno)
+                if not (1 <= i <= n and 1 <= j <= n) or i == j:
+                    raise DimacsFormatError(
+                        f"line {lineno}: edge {i} {j} is not two distinct vertices in 1..{n}"
+                    )
+                edges.append((i - 1, j - 1))
         if n is None:
-            raise ValueError("missing DIMACS problem line")
+            raise DimacsFormatError("missing DIMACS problem line")
+        if len(edges) != declared:
+            raise DimacsFormatError(
+                f"problem line declares {declared} edges, found {len(edges)}"
+            )
         return cls.from_edges(n, edges)
 
     def to_json(self) -> str:
@@ -152,6 +173,14 @@ class Graph:
             },
             sort_keys=True,
         )
+
+
+def _dimacs_pair(fields: list[str], lineno: int) -> tuple[int, int]:
+    try:
+        a, b = map(int, fields)
+    except ValueError as exc:
+        raise DimacsFormatError(f"line {lineno}: expected two integers") from exc
+    return a, b
 
 
 def _bits(mask: int):
@@ -192,48 +221,41 @@ def or_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * hn, rows)
 
 
-def _orth_rows_block(args) -> list[tuple[int, int]]:
-    states, lo, hi = args
-    out = []
-    for i in range(lo, hi):
-        row = 0
-        si = states[i]
-        for j in range(len(states)):
-            if j != i and is_orthogonal(si, states[j]):
-                row |= 1 << j
-        out.append((i, row))
-    return out
+def orthogonality_graph(family: StateFamily) -> Graph:
+    """Vertex per state (in family order), edge iff exactly orthogonal.
 
-
-def orthogonality_graph(family: StateFamily, jobs: int = 1) -> Graph:
-    """Vertex per state (in family order), edge iff exactly orthogonal."""
-    states = list(family.states)
+    For stabilizer states with groups S and T, d^(2n) Tr(Pi_s Pi_t) is the
+    sum over the shared keys S n T of omega^(phase_s - phase_t).  The phase
+    ratio is a character of the subgroup S n T, so the sum is 0 (orthogonal)
+    or the integer |S n T| >= 1 (Aaronson-Gottesman, PRA 70, 052328, 2004;
+    Gross, JMP 47, 122107, 2006).  Each state becomes the real row
+    [cos theta | sin theta] over the d^(2n) keys, theta = 2 pi phase /
+    phase_order(d) and 0 on absent keys, so the Gram entry of two rows is
+    that sum.  An entry is an edge iff it is < 1/2.  A row has at most
+    d^n <= 49 nonzeros, so the float32 rounding error of an entry is below
+    1e-3, far inside the gap between 0 and 1.
+    """
+    states = family.states
     n = len(states)
-    labels = tuple(s.label for s in states)
-    if jobs <= 1 or n < 64:
-        rows = [0] * n
-        for i in range(n):
-            si = states[i]
-            for j in range(i + 1, n):
-                if is_orthogonal(si, states[j]):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return Graph(n, rows, labels)
-    # parallel path: each worker fills whole rows for a block of vertices
-    for s in states:
-        s.group()
-    chunks = []
-    step = max(1, -(-n // jobs))
+    d = states[0].d
+    keys = d ** (2 * states[0].n)
+    key_idx, phase = group_tables(states)
+    theta = (2 * np.pi / phase_order(d)) * phase
+    w = np.zeros((n, 2 * keys), dtype=np.float32)
+    at = np.arange(n)[:, None]
+    w[at, key_idx] = np.cos(theta)
+    w[at, keys + key_idx] = np.sin(theta)
+    adj = np.empty((n, n), dtype=bool)
+    step = max(1, _GRAM_BLOCK_ENTRIES // n)
     for lo in range(0, n, step):
-        chunks.append((states, lo, min(n, lo + step)))
-    ctx = get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        parts = pool.map(_orth_rows_block, chunks)
-    rows = [0] * n
-    for part in parts:
-        for i, row in part:
-            rows[i] = row
-    return Graph(n, rows, labels)
+        hi = min(n, lo + step)
+        block = adj[lo:hi]
+        np.less(w[lo:hi] @ w.T, 0.5, out=block)
+        assert not block[np.arange(hi - lo), np.arange(lo, hi)].any()
+    assert (adj == adj.T).all()
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return Graph(n, rows, tuple(s.label for s in states))
 
 
 def cayley_graph(elements: list[CliffordElement], connection) -> Graph:

@@ -57,7 +57,7 @@ def greedy_clique(g: Graph) -> list[int]:
         clique = [start]
         cand = g.rows[start]
         while cand:
-            v = max(_bits(cand), key=lambda u: (bin(cand & g.rows[u]).count("1"), -u))
+            v = max(_bits(cand), key=lambda u: ((cand & g.rows[u]).bit_count(), -u))
             clique.append(v)
             cand &= g.rows[v]
         if len(clique) > len(best):
@@ -338,7 +338,7 @@ def maximal_cliques(g: Graph, limit: int = 2_000_000) -> list[int]:
                 raise BudgetExceededError("too many maximal cliques")
             return
         pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda u: (bin(p & adj[u]).count("1"), -u))
+        pivot = max(_bits(pivot_pool), key=lambda u: ((p & adj[u]).bit_count(), -u))
         cand = p & ~adj[pivot]
         for v in _bits(cand):
             vb = 1 << v

@@ -134,6 +134,26 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(p * q for p, q in zip(a, b))
 
 
+def multiply_arrays(d: int, a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``PauliOperator.__mul__`` over broadcast integer arrays.
+
+    Each operand is (x, z, phase): x and z of shape (..., n) reduced mod d,
+    phase of shape (...).  The phase rule is the one of ``__mul__``, the
+    qubit mod-4 rule included.
+    """
+    ax, az, ap = a
+    bx, bz, bp = b
+    xc = (ax + bx) % d
+    zc = (az + bz) % d
+    cross = (az * bx).sum(-1)
+    if d == 2:
+        ph = (ap + bp + (ax * az).sum(-1) + (bx * bz).sum(-1) + 2 * cross
+              - (xc * zc).sum(-1)) % 4
+    else:
+        ph = (ap + bp + cross) % d
+    return xc, zc, ph
+
+
 def identity_pauli(d: int, n: int) -> PauliOperator:
     return PauliOperator(d, (0,) * n, (0,) * n, 0)
 

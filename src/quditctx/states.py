@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .clifford import CliffordElement, conjugate_pauli, enumerate_clifford
 from .errors import BudgetExceededError, ShapeMismatchError
-from .pauli import PauliOperator, identity_pauli, omega_exp, symplectic_commutes
+from .pauli import (
+    PauliOperator,
+    identity_pauli,
+    multiply_arrays,
+    omega_exp,
+    symplectic_commutes,
+)
 from .zmod import mod_inverse, require_prime
 
 # Exhaustive enumeration stays comfortable on a desk machine up to these caps.
@@ -158,6 +165,47 @@ def is_orthogonal(s: StabilizerState, t: StabilizerState) -> bool:
     return len(agree) != len(shared)
 
 
+def group_tables(states) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilizer groups of many states at once: (key_idx, phase), two (N, d^n)
+    integer arrays.
+
+    Row i lists the group of states[i] in the element order of
+    ``StabilizerState.group()``.  key_idx[i, k] is the unsigned (x|z) key read
+    as the base-d number with digits x_1..x_n z_1..z_n, so it sorts like the
+    key tuple; phase[i, k] is the exponent ``group()`` maps that key to.
+    """
+    d, n = states[0].d, states[0].n
+    if any(s.d != d or s.n != n for s in states):
+        raise ShapeMismatchError("states live on different spaces")
+    gx = np.array([[g.x for g in s.generators] for s in states], dtype=np.int64)
+    gz = np.array([[g.z for g in s.generators] for s in states], dtype=np.int64)
+    gp = np.array([[g.phase for g in s.generators] for s in states], dtype=np.int64)
+    count = len(states)
+    ident = (np.zeros((count, 1, n), np.int64), np.zeros((count, 1, n), np.int64),
+             np.zeros((count, 1), np.int64))
+    ex, ez, ep = ident
+    for k in range(n):
+        gen = (gx[:, None, k], gz[:, None, k], gp[:, None, k])
+        # g**j for j = 0..d-1 by repeated right multiplication, as __pow__ does
+        powers = [ident]
+        for _ in range(d - 1):
+            powers.append(multiply_arrays(d, powers[-1], gen))
+        px, pz, pp = (np.concatenate(part, axis=1) for part in zip(*powers))
+        # [e * g**j for j in range(d) for e in elems]: element j*m + e
+        ex, ez, ep = multiply_arrays(
+            d, (ex[:, None], ez[:, None], ep[:, None]),
+            (px[:, :, None], pz[:, :, None], pp[:, :, None]),
+        )
+        ex = ex.reshape(count, -1, n)
+        ez = ez.reshape(count, -1, n)
+        ep = ep.reshape(count, -1)
+    key_idx = np.concatenate([ex, ez], axis=2) @ (d ** np.arange(2 * n - 1, -1, -1))
+    ordered = np.sort(key_idx, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError("generated group has wrong order")
+    return key_idx, ep
+
+
 def mub_operators(d: int) -> list[PauliOperator]:
     """The d+1 single-qudit MUB operators: Z, X, XZ, ..., XZ^{d-1}."""
     ops = [PauliOperator(d, (0,), (1,))]
@@ -220,13 +268,21 @@ def enumerate_two_qudit(
     d: int, kind: str, max_pair_dim: int = MAX_PAIR_DIM, max_total_dim: int = MAX_TOTAL_DIM
 ) -> StateFamily:
     """Two-qudit families: separable tensor pairs, entangled Jamiolkowski
-    isomorphs of the Clifford group, or their union."""
+    isomorphs of the Clifford group, or their union.
+
+    Each (d, kind) is enumerated once per process; the caps are checked on
+    every call, before the cached family is returned."""
     require_prime(d)
     if kind not in ("separable", "entangled", "total"):
         raise ValueError(f"unknown family kind {kind!r}")
     cap = max_total_dim if kind == "total" else max_pair_dim
     if d > cap:
         raise BudgetExceededError(f"family {kind!r} capped at d <= {cap}, got {d}")
+    return _enumerate_two_qudit(d, kind)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_two_qudit(d: int, kind: str) -> StateFamily:
     if kind == "separable":
         single = enumerate_single(d).states
         states = [tensor_state(a, b) for a in single for b in single]
@@ -235,8 +291,8 @@ def enumerate_two_qudit(
         states = [jamiolkowski_stabilizer(c) for c in enumerate_clifford(d)]
         expect = d**3 * (d * d - 1)
     else:
-        sep = enumerate_two_qudit(d, "separable", max_pair_dim=max_total_dim)
-        ent = enumerate_two_qudit(d, "entangled", max_pair_dim=max_total_dim)
+        sep = _enumerate_two_qudit(d, "separable")
+        ent = _enumerate_two_qudit(d, "entangled")
         overlap = set(sep.states) & set(ent.states)
         if overlap:
             raise ValueError("separable and entangled families overlap")

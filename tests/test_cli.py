@@ -35,9 +35,7 @@ def test_counts_verify_flag(capsys):
 
 
 def test_invariants_separable_qubits(capsys):
-    code, out = run(
-        capsys, "invariants", "-d", "2", "--family", "sep", "--jobs", "1"
-    )
+    code, out = run(capsys, "invariants", "-d", "2", "--family", "sep")
     assert code == 0
     payload = json.loads(out)
     assert payload["alpha"]["value"] == 9
@@ -47,9 +45,7 @@ def test_invariants_separable_qubits(capsys):
 
 
 def test_invariants_entangled_qubits(capsys):
-    code, out = run(
-        capsys, "invariants", "-d", "2", "--family", "ent", "--jobs", "1"
-    )
+    code, out = run(capsys, "invariants", "-d", "2", "--family", "ent")
     payload = json.loads(out)
     assert payload["alpha"]["value"] == 5
     assert payload["chi"]["value"] == 5
@@ -100,7 +96,7 @@ def test_export_dimacs(tmp_path, capsys):
 def test_export_json(tmp_path, capsys):
     out_file = tmp_path / "single3.json"
     code, _ = run(
-        capsys, "export", "-d", "3", "--family", "single", "--jobs", "1",
+        capsys, "export", "-d", "3", "--family", "single",
         "--format", "json", "--out", str(out_file),
     )
     assert code == 0
@@ -119,13 +115,40 @@ def test_invalid_tolerance_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_invalid_budget_exit_code(capsys, value):
+    code = main(["chsh", "-d", "2", "--budget-seconds", value])
+    assert code == 2
+    assert "budget must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_invalid_k_max_exit_code(capsys, value):
+    code = main(["chsh", "-d", "2", "--k-max", value])
+    assert code == 2
+    assert "k-max must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_invalid_theta_cap_exit_code(capsys, value):
+    code = main(["chsh", "-d", "2", "--theta-cap", value])
+    assert code == 2
+    assert "theta cap must be positive" in capsys.readouterr().err
+
+
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "--jobs", "1"])
+    assert exc.value.code == 2
+
+
 def test_deterministic_output(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     for path in (a, b):
         code, _ = run(
             capsys, "invariants", "-d", "2", "--family", "single",
-            "--jobs", "1", "--out", str(path),
+            "--out", str(path),
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditctx.clifford import enumerate_clifford, identity_clifford, traceless_set
-from quditctx.errors import BadConnectionSetError
+from quditctx.errors import BadConnectionSetError, DimacsFormatError
 from quditctx.graphs import (
     Graph,
     automorphism_count,
@@ -14,7 +14,7 @@ from quditctx.graphs import (
     orthogonality_graph,
     verify_bijection,
 )
-from quditctx.states import jamiolkowski_stabilizer
+from quditctx.states import is_orthogonal, jamiolkowski_stabilizer
 
 
 def random_graph(draw, max_n=9):
@@ -145,11 +145,14 @@ def test_total_graph_order(ortho_graph):
     assert ortho_graph(2, "total").n == 60
 
 
-def test_parallel_build_matches_serial(family):
-    fam = family(2, "total")
-    serial = orthogonality_graph(fam, jobs=1)
-    parallel = orthogonality_graph(fam, jobs=2)
-    assert serial.rows == parallel.rows
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["separable", "entangled", "total"])
+def test_gram_graph_matches_predicate(family, d, kind):
+    states = family(d, kind).states
+    g = orthogonality_graph(family(d, kind))
+    for i, s in enumerate(states):
+        for j, t in enumerate(states):
+            assert g.has_edge(i, j) == (i != j and is_orthogonal(s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +213,31 @@ def test_dimacs_import_skips_comments():
     text = "c a comment line\np edge 3 1\nc another\ne 1 3\n"
     g = Graph.from_dimacs(text)
     assert g.n == 3 and g.edges() == [(0, 2)]
+
+
+@pytest.mark.parametrize("vertex", ["0", "4"])
+def test_dimacs_rejects_vertex_out_of_range(vertex):
+    with pytest.raises(DimacsFormatError, match="1..3"):
+        Graph.from_dimacs(f"p edge 3 1\ne 1 {vertex}\n")
+
+
+def test_dimacs_rejects_edge_before_problem_line():
+    with pytest.raises(DimacsFormatError, match="before the problem line"):
+        Graph.from_dimacs("e 1 2\np edge 3 1\n")
+
+
+def test_dimacs_rejects_wrong_edge_count():
+    with pytest.raises(DimacsFormatError, match="declares 5 edges, found 1"):
+        Graph.from_dimacs("p edge 3 5\ne 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p edge 3 1\np edge 3 1\ne 1 2\n", "p edge -1 0\n", "p edge x 1\n", "p edge 3 1\ne 1\n"],
+)
+def test_dimacs_rejects_malformed_lines(text):
+    with pytest.raises(DimacsFormatError, match="line"):
+        Graph.from_dimacs(text)
 
 
 def test_json_export():

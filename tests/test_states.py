@@ -14,6 +14,7 @@ from quditctx.states import (
     enumerate_single,
     enumerate_two_qudit,
     family_counts,
+    group_tables,
     is_orthogonal,
     jamiolkowski_stabilizer,
     mub_operators,
@@ -140,6 +141,21 @@ def test_shape_mismatch():
     s3 = enumerate_single(3).states[0]
     with pytest.raises(ShapeMismatchError):
         is_orthogonal(s2, s3)
+
+
+@pytest.mark.parametrize(
+    "d,kind",
+    [(d, kind) for d in (2, 3, 5) for kind in ("separable", "entangled")] + [(7, "single")],
+)
+def test_group_tables_match_group(family, d, kind):
+    states = family(d, kind).states
+    key_idx, phase = group_tables(states)
+    n = states[0].n
+    weights = [d ** (2 * n - 1 - k) for k in range(2 * n)]
+    for s, keys, phases in zip(states, key_idx.tolist(), phase.tolist()):
+        table = s.group()
+        assert keys == [sum(w * v for w, v in zip(weights, x + z)) for x, z in table]
+        assert phases == list(table.values())
 
 
 @pytest.mark.parametrize("d", [2])
