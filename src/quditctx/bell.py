@@ -28,12 +28,7 @@ from .errors import (
 from .graphs import Graph, find_isomorphism, orthogonality_graph
 from .invariants import CliqueResult, independence_number
 from .pauli import PauliOperator, hermitian_eigen, omega, omega_exp, pauli_matrix
-from .states import (
-    StabilizerState,
-    enumerate_two_qudit,
-    is_orthogonal,
-    tensor_state,
-)
+from .states import StabilizerState, StateFamily, enumerate_two_qudit, tensor_state
 from .zmod import mod_inverse, require_prime
 
 CLASSICAL_BOUNDS = {2: 2, 3: 9, 5: 35, 7: 84}
@@ -410,23 +405,12 @@ def find_alternate_chsh_projectors() -> list[StabilizerState]:
     the complement of the 5-pan graph."""
     pan_comp = Graph.pan(5).complement()
     for states in iter_alternate_chsh_solutions():
-        g = _state_orthogonality_graph(states)
+        g = orthogonality_graph(StateFamily("total", 2, tuple(states)))
         if find_isomorphism(g, pan_comp) is not None:
             return states
     raise SearchFailedError(
         "no 6-projector set with 4*Sigma - 6I = B realizes the 5-pan complement"
     )
-
-
-def _state_orthogonality_graph(states: list[StabilizerState]) -> Graph:
-    n = len(states)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_orthogonal(states[i], states[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows, tuple(s.label for s in states))
 
 
 @dataclass
@@ -444,7 +428,7 @@ def alternate_chsh_scenario() -> AlternateChshRecord:
     dev = float(np.abs(4 * sigma - 6 * np.eye(4) - bell.matrix).max())
     if dev > 1e-9:
         raise DecompositionMismatchError("4*Sigma - 6I != B after search")
-    graph = _state_orthogonality_graph(states)
+    graph = orthogonality_graph(StateFamily("total", 2, tuple(states)))
     pan_comp = Graph.pan(5).complement()
     bij = find_isomorphism(graph, pan_comp)
     alpha = independence_number(graph)

@@ -34,7 +34,7 @@ from .invariants import compute_report, induced_odd_cycles, lovasz_theta
 from .states import enumerate_single, enumerate_two_qudit, family_counts, group_tables
 from .zmod import require_prime
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 FAMILY_NAMES = {
     "single": "single",
@@ -62,7 +62,7 @@ def cover_hint_by_basis(fam) -> list[list[int]]:
 
 
 def _emit(payload: dict, config) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed, **payload}
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
     fmt = config.format
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
@@ -155,7 +155,7 @@ def cmd_invariants(config) -> dict:
         tol=config.tolerance,
         hilbert_dim=d if config.family == "single" else d * d,
         cover_hint=hint,
-        normal_cayley_alpha_hint=normal_cayley,
+        normal_cayley=normal_cayley,
         theta_cap=config.theta_cap,
     )
     payload = {"command": "invariants", "dimension": d, "family": config.family,
@@ -274,7 +274,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-seconds", type=float, default=60.0,
                         dest="budget_seconds")
     common.add_argument("--tolerance", type=float, default=1e-6)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=["table", "json", "csv", "dimacs"],
                         default="json")
     common.add_argument("--out", default=None)
@@ -321,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
             raise QuditCtxError("theta cap must be positive")
         if getattr(config, "k_max", 1) <= 0:
             raise QuditCtxError("k-max must be positive")
+        if config.format == "dimacs" and config.command != "export":
+            raise QuditCtxError("--format dimacs applies only to the export command")
         payload = HANDLERS[config.command](config)
     except QuditCtxError as exc:
         print(f"error: {exc}", file=sys.stderr)

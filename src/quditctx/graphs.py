@@ -25,7 +25,7 @@ _GRAM_BLOCK_ENTRIES = 1 << 21
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows", "labels", "_complement")
 
     def __init__(self, n: int, rows: list[int], labels: tuple[str, ...] | None = None):
         if len(rows) != n:
@@ -43,6 +43,7 @@ class Graph:
         self.n = n
         self.rows = tuple(rows)
         self.labels = labels
+        self._complement: Graph | None = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -101,9 +102,12 @@ class Graph:
         return degs.pop() if len(degs) == 1 else None
 
     def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        rows = [full & ~self.rows[i] & ~(1 << i) for i in range(self.n)]
-        return Graph(self.n, rows, self.labels)
+        """The complement, built on the first call and shared by later ones."""
+        if self._complement is None:
+            full = (1 << self.n) - 1
+            rows = [full & ~self.rows[i] & ~(1 << i) for i in range(self.n)]
+            self._complement = Graph(self.n, rows, self.labels)
+        return self._complement
 
     def subgraph(self, vertices: list[int]) -> "Graph":
         pos = {v: i for i, v in enumerate(vertices)}

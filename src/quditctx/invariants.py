@@ -30,6 +30,8 @@ from .errors import BudgetExceededError, InvalidHintError
 from .graphs import Graph, _bits
 
 DEFAULT_BUDGET = 60.0
+# largest graph given an exact chromatic search (and so an exact clique cover)
+EXACT_COLORING_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +67,18 @@ def greedy_clique(g: Graph) -> list[int]:
     return sorted(best)
 
 
-def max_clique(g: Graph, budget: float = DEFAULT_BUDGET, initial: int = 0) -> CliqueResult:
+def max_clique(
+    g: Graph, budget: float = DEFAULT_BUDGET, upper: int | None = None
+) -> CliqueResult:
     """Exact maximum clique within budget seconds, else best found (bounded).
 
     Tomita-style branch and bound: candidates greedy-colored per node, with
     the color number bounding any extension.  Vertices are relabeled by
     descending degree at the root so the LSB-first coloring follows a good
-    static order.
+    static order.  ``upper`` is a known bound on omega (a verified cover of the
+    complement, a Hilbert dimension): the search stops as exact once a clique
+    of that size is found.  The best clique is only ever replaced by a
+    strictly larger one, so the witness is the one the full search returns.
     """
     t0 = time.monotonic()
     n = g.n
@@ -90,20 +97,21 @@ def max_clique(g: Graph, budget: float = DEFAULT_BUDGET, initial: int = 0) -> Cl
             row |= 1 << to_new[low.bit_length() - 1]
             r ^= low
         adj[to_new[old]] = row
-    warm = [to_new[v] for v in greedy_clique(g)]
-    best_size = max(initial, len(warm))
-    best_wit = warm if len(warm) >= initial else []
+    best_wit = [to_new[v] for v in greedy_clique(g)]
+    best_size = len(best_wit)
+    goal = n if upper is None else upper
     t_end = t0 + budget
     nodes = 0
     timed_out = False
+    stop = best_size >= goal
     monotonic = time.monotonic
 
     def expand(cand: int, cur: list[int], size: int) -> None:
-        nonlocal best_size, best_wit, nodes, timed_out
+        nonlocal best_size, best_wit, nodes, timed_out, stop
         nodes += 1
         if nodes & 255 == 0 and monotonic() > t_end:
-            timed_out = True
-        if timed_out or size + cand.bit_count() <= best_size:
+            timed_out = stop = True
+        if stop or size + cand.bit_count() <= best_size:
             return
         # greedy-color the candidate set; color number bounds the clique extension
         order: list[int] = []
@@ -128,24 +136,28 @@ def max_clique(g: Graph, budget: float = DEFAULT_BUDGET, initial: int = 0) -> Cl
             if size + 1 > best_size:
                 best_size = size + 1
                 best_wit = cur.copy()
+                stop = best_size >= goal
             newcand = cand & adj[v]
-            if newcand:
+            if newcand and not stop:
                 expand(newcand, cur, size + 1)
             cur.pop()
             cand &= ~(1 << v)
-            if timed_out:
+            if stop:
                 return
 
-    expand((1 << n) - 1, [], 0)
+    if not stop:
+        expand((1 << n) - 1, [], 0)
     wit = tuple(sorted(order0[v] for v in best_wit))
     if wit and not verify_clique(g, wit):
         raise AssertionError("witness failed re-verification")
     return CliqueResult(best_size, wit, not timed_out, nodes, time.monotonic() - t0)
 
 
-def independence_number(g: Graph, budget: float = DEFAULT_BUDGET) -> CliqueResult:
+def independence_number(
+    g: Graph, budget: float = DEFAULT_BUDGET, upper: int | None = None
+) -> CliqueResult:
     """alpha(g) = omega(complement(g)); witness is an independent set of g."""
-    res = max_clique(g.complement(), budget)
+    res = max_clique(g.complement(), budget, upper)
     if res.witness and not verify_independent_set(g, res.witness):
         raise AssertionError("independent-set witness failed re-verification")
     return res
@@ -247,24 +259,32 @@ def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], t_end: float):
 def chromatic_number(
     g: Graph,
     budget: float = DEFAULT_BUDGET,
-    normal_cayley_alpha: int | None = None,
-    exact_limit: int = 64,
+    omega: CliqueResult | None = None,
+    alpha: CliqueResult | None = None,
+    normal_cayley: bool = False,
 ) -> ChromaticResult:
-    """Exact chi for small graphs, the normal-Cayley theorem route, or a bracket."""
+    """Exact chi for small graphs, the normal-Cayley theorem route, or a bracket.
+
+    ``omega`` is a maximum-clique result the caller already holds; without one
+    it is solved here, inside the same ``budget``.  ``normal_cayley`` states
+    that g is a normal Cayley graph, where exact alpha * omega = n forces
+    chi = omega; ``alpha`` is only read for that route.
+    """
     t_end = time.monotonic() + budget
-    omega_res = max_clique(g, budget=max(1.0, budget / 4))
-    lo = omega_res.size
-    up, coloring = greedy_coloring(g)
-    if normal_cayley_alpha is not None and omega_res.exact:
-        if normal_cayley_alpha * omega_res.size == g.n:
+    if omega is None:
+        omega = max_clique(g, budget)
+    lo = omega.size
+    if normal_cayley and alpha is not None and alpha.exact and omega.exact:
+        if alpha.size * omega.size == g.n:
             return ChromaticResult(lo, lo, True, "normal-cayley")
+    up, coloring = greedy_coloring(g)
     if lo == up:
         return ChromaticResult(lo, up, True, "greedy-met-clique", coloring)
-    if g.n > exact_limit:
+    if g.n > EXACT_COLORING_LIMIT:
         return ChromaticResult(lo, up, False, "bracket", coloring)
     k = lo
     while k < up:
-        r = _k_colorable(g, k, omega_res.witness, t_end)
+        r = _k_colorable(g, k, omega.witness, t_end)
         if r is None:
             return ChromaticResult(k, up, False, "budget", coloring)
         if r is not False:
@@ -281,32 +301,38 @@ class CoverResult:
     route: str
 
 
+def verify_cover(g: Graph, blocks: list[list[int]]) -> None:
+    """Raise InvalidHintError unless the blocks are cliques covering every vertex."""
+    seen: set[int] = set()
+    for block in blocks:
+        if not verify_clique(g, block):
+            raise InvalidHintError(f"hint block {block} is not a clique")
+        seen.update(block)
+    if seen != set(range(g.n)):
+        raise InvalidHintError("hint does not cover every vertex")
+
+
 def clique_cover(
     g: Graph,
     hint: list[list[int]] | None = None,
     lower_bound: int | None = None,
     budget: float = DEFAULT_BUDGET,
-    exact_limit: int = 64,
+    alpha: CliqueResult | None = None,
 ) -> CoverResult:
     """Minimum clique cover, or a verified structural hint.
 
     A hint must cover every vertex with cliques; its size is returned and
     marked exact when it meets a known lower bound (alpha, or n/omega from a
-    dimension argument, supplied by the caller).
+    dimension argument, supplied by the caller).  Without a hint the cover
+    is chi of the complement, whose omega is ``alpha`` when the caller holds it.
     """
     if hint is not None:
-        seen: set[int] = set()
-        for block in hint:
-            if not verify_clique(g, block):
-                raise InvalidHintError(f"hint block {block} is not a clique")
-            seen.update(block)
-        if seen != set(range(g.n)):
-            raise InvalidHintError("hint does not cover every vertex")
+        verify_cover(g, hint)
         exact = lower_bound is not None and len(hint) <= lower_bound
         return CoverResult(len(hint), [sorted(b) for b in hint], exact, "hint")
     comp = g.complement()
-    if g.n <= exact_limit:
-        chi = chromatic_number(comp, budget=budget, exact_limit=exact_limit)
+    if g.n <= EXACT_COLORING_LIMIT:
+        chi = chromatic_number(comp, budget, omega=alpha)
         cover = _cover_from_coloring(chi.coloring, g.n) if chi.coloring else []
         if chi.exact:
             return CoverResult(chi.value, cover, True, "chi-of-complement")
@@ -674,21 +700,34 @@ def compute_report(
     tol: float = 1e-6,
     hilbert_dim: int | None = None,
     cover_hint: list[list[int]] | None = None,
-    normal_cayley_alpha_hint: bool = False,
+    normal_cayley: bool = False,
     theta_cap: int = 200,
-    packing_cap: int = 200,
 ) -> InvariantReport:
-    """Assemble the alpha/omega/chi/chibar/alpha*/theta report for one graph."""
+    """Assemble the alpha/omega/chi/chibar/alpha*/theta report for one graph.
+
+    Each invariant is solved once, and the alpha, omega, chi and cover
+    searches share one deadline ``budget`` seconds away.  Bounds the report
+    already holds close fields without search: a verified cover hint bounds
+    alpha (an independent set meets each clique once), ``hilbert_dim`` bounds
+    omega (orthogonal rank-1 projectors in C^D), and alpha == chibar fixes
+    theta and alpha* by the sandwich alpha <= theta <= alpha* <= chibar.
+    Otherwise the LP and the SDP run, each capped by vertex count.
+    """
+    t_end = time.monotonic() + budget
+
+    def left() -> float:
+        return max(0.0, t_end - time.monotonic())
+
     rep = InvariantReport(graph_id, g.n)
-    alpha = independence_number(g, budget)
-    rep.set("alpha", alpha.size, alpha.status, witness=list(alpha.witness))
-    om = max_clique(g, budget)
-    rep.set("omega", om.size, om.status, witness=list(om.witness))
-    chi = chromatic_number(
-        g,
-        budget,
-        normal_cayley_alpha=alpha.size if (normal_cayley_alpha_hint and alpha.exact) else None,
+    if cover_hint is not None:
+        verify_cover(g, cover_hint)
+    alpha = independence_number(
+        g, left(), upper=None if cover_hint is None else len(cover_hint)
     )
+    rep.set("alpha", alpha.size, alpha.status, witness=list(alpha.witness))
+    om = max_clique(g, left(), upper=hilbert_dim)
+    rep.set("omega", om.size, om.status, witness=list(om.witness))
+    chi = chromatic_number(g, left(), omega=om, alpha=alpha, normal_cayley=normal_cayley)
     if chi.exact:
         rep.set("chi", chi.value, "exact", route=chi.route)
     else:
@@ -699,18 +738,23 @@ def compute_report(
         lower = max(alpha.size, -(-g.n // om.size) if om.size else g.n)
     elif alpha.exact:
         lower = alpha.size
-    cover = clique_cover(g, hint=cover_hint, lower_bound=lower, budget=budget)
+    cover = clique_cover(g, hint=cover_hint, lower_bound=lower, budget=left(), alpha=alpha)
     rep.set("clique_cover", cover.size, "exact" if cover.exact else "bounded", route=cover.route)
-    try:
-        astar, _ = fractional_packing(g, max_vertices=packing_cap)
-        rep.set("alpha_star", astar, "exact")
-    except BudgetExceededError:
-        rep.set("alpha_star", None, "skipped")
-    if g.n <= theta_cap:
-        th = lovasz_theta(g, tol=tol, max_vertices=theta_cap)
-        rep.set("theta", th.value, th.status, gap=th.gap, lower=th.lower, upper=th.upper)
+    if alpha.exact and cover.exact and alpha.size == cover.size:
+        rep.set("alpha_star", Fraction(alpha.size), "exact", route="sandwich")
+        value = float(alpha.size)
+        rep.set("theta", value, "exact", route="sandwich", gap=0.0, lower=value, upper=value)
     else:
-        rep.set("theta", None, "skipped")
+        try:
+            astar, _ = fractional_packing(g)
+            rep.set("alpha_star", astar, "exact")
+        except BudgetExceededError:
+            rep.set("alpha_star", None, "skipped")
+        if g.n <= theta_cap:
+            th = lovasz_theta(g, tol=tol, max_vertices=theta_cap)
+            rep.set("theta", th.value, th.status, gap=th.gap, lower=th.lower, upper=th.upper)
+        else:
+            rep.set("theta", None, "skipped")
     if hilbert_dim is not None and chi.exact:
         rep.set("sic_flag", chi.value > hilbert_dim, "exact", hilbert_dim=hilbert_dim)
     return rep

@@ -227,7 +227,7 @@ def test_c04_sic_dichotomy(ortho_graph):
     g3 = ortho_graph(3, "entangled")
     assert is_conjugation_closed(traceless_set(3))  # normal Cayley premise
     alpha3 = independence_number(g3, BUDGET)
-    chi3 = chromatic_number(g3, BUDGET, normal_cayley_alpha=alpha3.size)
+    chi3 = chromatic_number(g3, BUDGET, alpha=alpha3, normal_cayley=True)
     qutrit_ok = (
         chi3.exact
         and chi3.route == "normal-cayley"

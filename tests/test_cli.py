@@ -20,7 +20,8 @@ def test_counts_table1(capsys, d, sep, ent, tot):
     code, out = run(capsys, "counts", "-d", str(d))
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
+    assert "seed" not in payload
     assert (payload["separable"], payload["entangled"], payload["total"]) == (
         sep,
         ent,
@@ -136,10 +137,20 @@ def test_invalid_theta_cap_exit_code(capsys, value):
     assert "theta cap must be positive" in capsys.readouterr().err
 
 
-def test_jobs_flag_is_gone(capsys):
+@pytest.mark.parametrize("flag", ["--jobs", "--seed"])
+def test_jobs_flag_is_gone(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["counts", "--jobs", "1"])
+        main(["counts", flag, "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["counts", "pm", "invariants"])
+def test_dimacs_format_only_for_export(capsys, command):
+    code = main([command, "-d", "2", "--format", "dimacs"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format dimacs applies only to the export command" in captured.err
 
 
 def test_deterministic_output(capsys, tmp_path):

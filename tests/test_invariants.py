@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditctx import invariants
+from quditctx.cli import cover_hint_by_basis
 from quditctx.errors import BudgetExceededError, InvalidHintError
 from quditctx.graphs import Graph, disjoint_union
 from quditctx.invariants import (
@@ -60,6 +62,22 @@ def test_clique_matches_brute(data):
     assert independence_number(g).size == brute_alpha(g)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_upper_bound_keeps_witness(data):
+    # a K_{25,25} decoy holds the 40 highest-degree vertices, so the greedy
+    # warm start finds only an edge and the search itself must reach omega
+    h = random_graph(data.draw, max_n=10)
+    m = 25
+    edges = [(i, m + j) for i in range(m) for j in range(m)]
+    edges += [(2 * m + i, 2 * m + j) for i, j in h.edges()]
+    g = Graph.from_edges(2 * m + h.n, edges)
+    full = max_clique(g)
+    capped = max_clique(g, upper=full.size)
+    assert (capped.size, capped.witness, capped.exact) == (full.size, full.witness, True)
+    assert capped.nodes <= full.nodes
+
+
 def test_budget_degrades_to_bound():
     rng = np.random.default_rng(11)
     n = 150
@@ -92,7 +110,8 @@ def test_chi_matches_brute(data):
 
 def test_normal_cayley_route():
     # C4: alpha * omega = 2 * 2 = 4 = |V| forces chi = omega
-    res = chromatic_number(Graph.cycle(4), normal_cayley_alpha=2)
+    c4 = Graph.cycle(4)
+    res = chromatic_number(c4, alpha=independence_number(c4), normal_cayley=True)
     assert res.exact and res.value == 2 and res.route == "normal-cayley"
 
 
@@ -270,3 +289,52 @@ def test_report_sandwich_chain():
     assert rep.get("alpha") <= rep.get("theta") + tol
     assert rep.get("theta") <= float(rep.get("alpha_star")) + tol
     assert float(rep.get("alpha_star")) <= rep.get("clique_cover") + 1e-12
+
+
+def _hint_from_complement_coloring(g):
+    _, coloring = greedy_coloring(g.complement())
+    return [[v for v in range(g.n) if coloring[v] == c] for c in sorted(set(coloring))]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_report_matches_brute(data):
+    g = random_graph(data.draw, max_n=8)
+    omega = brute_omega(g)
+    hint = _hint_from_complement_coloring(g) if data.draw(st.booleans()) else None
+    rep = compute_report(g, "random", hilbert_dim=omega, cover_hint=hint)
+    alpha, chibar = brute_alpha(g), brute_chibar(g)
+    truth = {"alpha": alpha, "omega": omega, "chi": brute_chi(g), "clique_cover": chibar}
+    for name, value in truth.items():
+        if rep.fields[name]["status"] == "exact":
+            assert rep.get(name) == value, name
+    assert rep.fields["omega"]["status"] == "exact"
+    for name in ("alpha_star", "theta"):
+        if rep.fields[name].get("route") == "sandwich":
+            assert alpha == chibar
+            assert rep.fields[name]["status"] == "exact" and rep.get(name) == alpha
+
+
+@pytest.mark.parametrize("d,kind", [(2, "separable"), (7, "single")])
+def test_sandwich_matches_sdp_and_lp(family, ortho_graph, d, kind):
+    g = ortho_graph(d, kind)
+    rep = compute_report(g, f"{kind}-d{d}", hilbert_dim=d if kind == "single" else d * d,
+                         cover_hint=cover_hint_by_basis(family(d, kind)))
+    assert rep.fields["theta"]["route"] == rep.fields["alpha_star"]["route"] == "sandwich"
+    assert abs(rep.get("theta") - lovasz_theta(g).value) < 1e-5
+    assert rep.get("alpha_star") == fractional_packing(g)[0]
+
+
+@pytest.mark.parametrize("hint", [None, [[0, 1], [2, 3], [4, 5], [6]]])
+def test_report_solves_each_clique_once(monkeypatch, hint):
+    real = invariants.max_clique
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "max_clique", counting)
+    rep = compute_report(Graph.cycle(7), "c7", cover_hint=hint)
+    assert len(calls) == 2
+    assert rep.get("chi") == 3 and rep.get("clique_cover") == 4
