@@ -45,6 +45,19 @@ class Graph:
         self.labels = labels
         self._complement: Graph | None = None
 
+    @classmethod
+    def _trusted(
+        cls, n: int, rows: list[int], labels: tuple[str, ...] | None = None
+    ) -> "Graph":
+        """A graph from rows already known to be symmetric, loop-free and in
+        range, without the O(E) check; for builders that guarantee that."""
+        g = object.__new__(cls)
+        g.n = n
+        g.rows = tuple(rows)
+        g.labels = labels
+        g._complement = None
+        return g
+
     # -- constructors -----------------------------------------------------
     @classmethod
     def from_edges(
@@ -106,7 +119,7 @@ class Graph:
         if self._complement is None:
             full = (1 << self.n) - 1
             rows = [full & ~self.rows[i] & ~(1 << i) for i in range(self.n)]
-            self._complement = Graph(self.n, rows, self.labels)
+            self._complement = Graph._trusted(self.n, rows, self.labels)
         return self._complement
 
     def subgraph(self, vertices: list[int]) -> "Graph":
@@ -259,7 +272,7 @@ def orthogonality_graph(family: StateFamily) -> Graph:
     assert (adj == adj.T).all()
     packed = np.packbits(adj, axis=1, bitorder="little")
     rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    return Graph(n, rows, tuple(s.label for s in states))
+    return Graph._trusted(n, rows, tuple(s.label for s in states))
 
 
 def cayley_graph(elements: list[CliffordElement], connection) -> Graph:

@@ -67,6 +67,26 @@ def greedy_clique(g: Graph) -> list[int]:
     return sorted(best)
 
 
+def _degree_order(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Relabel g by (-degree, v): returns (order, to_new, adj), where order[new]
+    is the old vertex, to_new inverts it and adj holds the relabeled rows."""
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    to_new = [0] * n
+    for new, old in enumerate(order):
+        to_new[old] = new
+    adj = [0] * n
+    for old in range(n):
+        row = 0
+        r = g.rows[old]
+        while r:
+            low = r & -r
+            row |= 1 << to_new[low.bit_length() - 1]
+            r ^= low
+        adj[to_new[old]] = row
+    return order, to_new, adj
+
+
 def max_clique(
     g: Graph, budget: float = DEFAULT_BUDGET, upper: int | None = None
 ) -> CliqueResult:
@@ -84,19 +104,7 @@ def max_clique(
     n = g.n
     if n == 0:
         return CliqueResult(0, (), True)
-    order0 = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    to_new = [0] * n
-    for new, old in enumerate(order0):
-        to_new[old] = new
-    adj = [0] * n
-    for old in range(n):
-        row = 0
-        r = g.rows[old]
-        while r:
-            low = r & -r
-            row |= 1 << to_new[low.bit_length() - 1]
-            r ^= low
-        adj[to_new[old]] = row
+    order0, to_new, adj = _degree_order(g)
     best_wit = [to_new[v] for v in greedy_clique(g)]
     best_size = len(best_wit)
     goal = n if upper is None else upper
@@ -199,6 +207,7 @@ class ChromaticResult:
     exact: bool
     route: str
     coloring: list[int] | None = None
+    nodes: int = 0
 
     @property
     def value(self) -> int:
@@ -208,52 +217,67 @@ class ChromaticResult:
 
 
 def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], t_end: float):
-    """Backtracking k-coloring with a precolored clique; None on timeout."""
-    n = g.n
-    color = [-1] * n
+    """DSATUR backtracking k-coloring with a precolored clique.
+
+    Returns (result, nodes): result is a coloring, False when none exists,
+    or None on timeout.  Vertices are relabeled by (-degree, v), so the
+    branching vertex, the uncolored one seeing the most colors with ties to
+    higher degree then lower index, is the lowest bit of the highest
+    saturation level.  nb[c] is the set of vertices with a neighbor colored
+    c; the levels are bit-sliced counters over those k masks.
+    """
+    _, to_new, adj = _degree_order(g)
+    color = [-1] * g.n
+    nb = [0] * k
+    uncolored = (1 << g.n) - 1
     for c, v in enumerate(clique):
-        color[v] = c
-    max_used = len(clique)
-
-    def pick() -> int:
-        best_v, best_key = -1, None
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            used = {color[w] for w in _bits(g.rows[v]) if color[w] >= 0}
-            key = (-len(used), -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
-
+        u = to_new[v]
+        color[u] = c
+        nb[c] |= adj[u]
+        uncolored &= ~(1 << u)
     nodes = 0
+    monotonic = time.monotonic
 
-    def solve(max_used: int):
-        nonlocal nodes
+    def solve(used: int):
+        nonlocal nodes, uncolored
         nodes += 1
-        if nodes % 512 == 0 and time.monotonic() > t_end:
+        if nodes % 512 == 0 and monotonic() > t_end:
             return None
-        v = pick()
-        if v < 0:
+        if not uncolored:
             return True
-        used = {color[w] for w in _bits(g.rows[v]) if color[w] >= 0}
+        # lev[s]: uncolored vertices with neighbors in at least s colors
+        lev = [uncolored]
+        for c in range(used):
+            m = nb[c]
+            lev.append(lev[-1] & m)
+            for s in range(len(lev) - 2, 0, -1):
+                lev[s] |= lev[s - 1] & m
+        top = len(lev) - 1
+        while not lev[top]:
+            top -= 1
+        low = lev[top] & -lev[top]
+        v = low.bit_length() - 1
+        row = adj[v]
+        uncolored ^= low
         # allowing at most one brand-new color breaks color symmetry
-        for c in range(min(max_used + 1, k)):
-            if c in used:
+        for c in range(min(used + 1, k)):
+            saved = nb[c]
+            if saved & low:
                 continue
             color[v] = c
-            r = solve(max(max_used, c + 1))
-            if r is True:
-                return True
-            if r is None:
-                return None
-            color[v] = -1
+            nb[c] = saved | row
+            r = solve(max(used, c + 1))
+            if r is not False:
+                return r
+            nb[c] = saved
+        color[v] = -1
+        uncolored |= low
         return False
 
-    r = solve(max_used)
+    r = solve(len(clique))
     if r is True:
-        return list(color)
-    return r  # False or None
+        return [color[to_new[v]] for v in range(g.n)], nodes
+    return r, nodes  # False or None
 
 
 def chromatic_number(
@@ -283,14 +307,16 @@ def chromatic_number(
     if g.n > EXACT_COLORING_LIMIT:
         return ChromaticResult(lo, up, False, "bracket", coloring)
     k = lo
+    nodes = 0
     while k < up:
-        r = _k_colorable(g, k, omega.witness, t_end)
+        r, searched = _k_colorable(g, k, omega.witness, t_end)
+        nodes += searched
         if r is None:
-            return ChromaticResult(k, up, False, "budget", coloring)
+            return ChromaticResult(k, up, False, "budget", coloring, nodes)
         if r is not False:
-            return ChromaticResult(k, k, True, "branch-and-bound", r)
+            return ChromaticResult(k, k, True, "branch-and-bound", r, nodes)
         k += 1
-    return ChromaticResult(up, up, True, "branch-and-bound", coloring)
+    return ChromaticResult(up, up, True, "branch-and-bound", coloring, nodes)
 
 
 @dataclass
@@ -376,26 +402,31 @@ def maximal_cliques(g: Graph, limit: int = 2_000_000) -> list[int]:
     return out
 
 
-def _simplex_max(rows: list[list[Fraction]], n_vars: int) -> tuple[Fraction, list[Fraction]]:
-    """Exact simplex for max 1.x s.t. Ax <= 1, x >= 0 (A is 0/1).
+def _simplex_max(cliques: list[int], n_vars: int) -> tuple[Fraction, list[Fraction]]:
+    """Exact simplex for max 1.x s.t. sum_{v in C} x_v <= 1 per clique mask C, x >= 0.
 
+    Fraction-free (Edmonds; Bareiss, Math. Comp. 22, 565, 1968): the integer
+    tableau is the rational one scaled by the basis determinant D > 0, and a
+    pivot on p maps each entry a to (a p - f b) / D_old, an exact division.
     Dantzig pivoting (most negative reduced cost) for speed, switching to
     Bland's rule after a pivot-count threshold to guarantee termination.
+    The optimum is checked against the dual read off the slack columns.
     """
-    m = len(rows)
+    m = len(cliques)
     width = n_vars + m + 1
     tab = []
-    for i, r in enumerate(rows):
-        row = r + [Fraction(0)] * m + [Fraction(1)]
-        row[n_vars + i] = Fraction(1)
+    for i, mask in enumerate(cliques):
+        row = [mask >> v & 1 for v in range(n_vars)] + [0] * m + [1]
+        row[n_vars + i] = 1
         tab.append(row)
-    obj = [Fraction(-1)] * n_vars + [Fraction(0)] * (m + 1)
+    obj = [-1] * n_vars + [0] * (m + 1)
     basis = [n_vars + i for i in range(m)]
+    det = 1
     pivots = 0
     bland_after = 4 * (m + n_vars)
     while True:
         if pivots < bland_after:
-            enter, val = None, Fraction(0)
+            enter, val = None, 0
             for j in range(width - 1):
                 if obj[j] < val:
                     enter, val = j, obj[j]
@@ -403,35 +434,58 @@ def _simplex_max(rows: list[list[Fraction]], n_vars: int) -> tuple[Fraction, lis
             enter = next((j for j in range(width - 1) if obj[j] < 0), None)
         if enter is None:
             break
-        ratio_best, leave = None, None
+        # min ratio rhs/a over a > 0, compared by cross-multiplication
+        leave = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if ratio_best is None or ratio < ratio_best or (
-                    ratio == ratio_best and basis[i] < basis[leave]
-                ):
-                    ratio_best, leave = ratio, i
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise ArithmeticError("LP unbounded; packing LP should be bounded")
-        piv = tab[leave][enter]
-        if piv != 1:
-            tab[leave] = [v / piv for v in tab[leave]]
         pivot_row = tab[leave]
+        piv = pivot_row[enter]
         for i in range(m):
+            if i == leave:
+                continue
             f = tab[i][enter]
-            if i != leave and f:
-                tab[i] = [a - f * b for a, b in zip(tab[i], pivot_row)]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, pivot_row)]
+            if f:
+                tab[i] = [(a * piv - f * b) // det for a, b in zip(tab[i], pivot_row)]
+            elif piv != det:
+                tab[i] = [a * piv // det for a in tab[i]]
+        f = obj[enter]
+        obj = [(a * piv - f * b) // det for a, b in zip(obj, pivot_row)]
         basis[leave] = enter
+        det = piv
         pivots += 1
-    x = [Fraction(0)] * n_vars
+    scaled = [0] * n_vars
     for i, b in enumerate(basis):
         if b < n_vars:
-            x[b] = tab[i][-1]
-    return sum(x, Fraction(0)), x
+            scaled[b] = tab[i][-1]
+    _check_packing_duality(cliques, scaled, obj[n_vars : n_vars + m], det)
+    return Fraction(sum(scaled), det), [Fraction(v, det) for v in scaled]
+
+
+def _check_packing_duality(cliques: list[int], x: list[int], y: list[int], det: int) -> None:
+    """Certify x/det optimal by the dual y/det, in integers: Ax <= 1, x >= 0,
+    A^T y >= 1, y >= 0 and sum x == sum y."""
+    cover = [0] * len(x)
+    for mask, yi in zip(cliques, y):
+        if sum(x[v] for v in _bits(mask)) > det:
+            raise AssertionError("packing LP solution violates a clique constraint")
+        for v in _bits(mask):
+            cover[v] += yi
+    if any(v < 0 for v in x) or any(v < 0 for v in y):
+        raise AssertionError("packing LP primal or dual has a negative entry")
+    if any(c < det for c in cover):
+        raise AssertionError("packing LP dual violates a vertex constraint")
+    if sum(x) != sum(y):
+        raise AssertionError("packing LP primal and dual values differ")
 
 
 def fractional_packing(
@@ -440,14 +494,7 @@ def fractional_packing(
     """alpha*(g): max sum x_v with sum over each maximal clique <= 1, exactly."""
     if g.n > max_vertices:
         raise BudgetExceededError(f"fractional packing capped at {max_vertices} vertices")
-    cliques = maximal_cliques(g, limit=clique_limit)
-    rows = []
-    for mask in cliques:
-        row = [Fraction(1) if mask >> v & 1 else Fraction(0) for v in range(g.n)]
-        rows.append(row)
-    if not rows:
-        return Fraction(0), []
-    return _simplex_max(rows, g.n)
+    return _simplex_max(maximal_cliques(g, limit=clique_limit), g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +829,27 @@ def brute_omega(g: Graph) -> int:
     return best
 
 
-def brute_chi(g: Graph) -> int:
-    from itertools import product
+def brute_colorable(g: Graph, k: int) -> bool:
+    """Exhaustive k-coloring: each vertex in index order tries every color
+    its lower-indexed neighbors leave free."""
+    color: list[int] = []
 
-    for k in range(1, g.n + 1):
-        for assign in product(range(k), repeat=g.n):
-            if all(assign[i] != assign[j] for i, j in g.edges()):
-                return k
-    return g.n
+    def extend(v: int) -> bool:
+        if v == g.n:
+            return True
+        for c in range(k):
+            if all(color[w] != c for w in _bits(g.rows[v] & ((1 << v) - 1))):
+                color.append(c)
+                if extend(v + 1):
+                    return True
+                color.pop()
+        return False
+
+    return extend(0)
+
+
+def brute_chi(g: Graph) -> int:
+    return next(k for k in range(g.n + 1) if brute_colorable(g, k))
 
 
 def brute_chibar(g: Graph) -> int:

@@ -35,10 +35,30 @@ graphs = st.builds(lambda d: random_graph(d.draw), st.data())
 # ---------------------------------------------------------------------------
 
 def test_rejects_asymmetric_and_loops():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         Graph(2, [0b10, 0b00])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(2, [0b01, 0b00])
+    with pytest.raises(ValueError, match="outside range"):
+        Graph(2, [0b100, 0b000])
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_complement_matches_from_edges(data):
+    g = random_graph(data.draw)
+    non_edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)]
+    assert g.complement().rows == Graph.from_edges(g.n, non_edges).rows
+
+
+@pytest.mark.parametrize("d,kind", [(2, "total"), (3, "separable")])
+def test_unchecked_builds_pass_validation(ortho_graph, d, kind):
+    # orthogonality_graph and complement() skip the constructor's checks
+    g = ortho_graph(d, kind)
+    for h in (g, g.complement()):
+        assert Graph(h.n, list(h.rows)).rows == h.rows
 
 
 def test_complete_and_cycle():

@@ -11,9 +11,12 @@ from quditctx.cli import cover_hint_by_basis
 from quditctx.errors import BudgetExceededError, InvalidHintError
 from quditctx.graphs import Graph, disjoint_union
 from quditctx.invariants import (
+    _check_packing_duality,
+    _k_colorable,
     brute_alpha,
     brute_chi,
     brute_chibar,
+    brute_colorable,
     brute_omega,
     chromatic_number,
     clique_cover,
@@ -108,6 +111,27 @@ def test_chi_matches_brute(data):
     assert chromatic_number(g).value == brute_chi(g)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_k_colorable_matches_brute(data):
+    g = random_graph(data.draw, max_n=9)
+    clique = max_clique(g).witness
+    for k in range(len(clique), g.n + 1):
+        coloring, _ = _k_colorable(g, k, clique, math.inf)
+        assert (coloring is not False) == brute_colorable(g, k), k
+        if coloring:
+            assert all(coloring[i] != coloring[j] for i, j in g.edges())
+            assert all(0 <= c < k for c in coloring)
+            assert [coloring[v] for v in clique] == list(range(len(clique)))
+
+
+def test_chi_total_qubits_search_order(ortho_graph):
+    # the d=2 total graph needs the search at k = 4 and 5; the node count pins
+    # the branching order
+    res = chromatic_number(ortho_graph(2, "total"))
+    assert (res.value, res.route, res.nodes) == (6, "branch-and-bound", 56_986)
+
+
 def test_normal_cayley_route():
     # C4: alpha * omega = 2 * 2 = 4 = |V| forces chi = omega
     c4 = Graph.cycle(4)
@@ -180,6 +204,56 @@ def test_alpha_star_sandwich(data):
     g = random_graph(data.draw, max_n=7)
     val, _ = fractional_packing(g)
     assert brute_alpha(g) <= val <= brute_chibar(g)
+
+
+def _all_cliques(g):
+    """Every nonempty clique of g as a bitmask, by extending smaller ones."""
+    is_clique = [True] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        is_clique[mask] = is_clique[rest] and rest & ~g.rows[low.bit_length() - 1] == 0
+    return [mask for mask in range(1, 1 << g.n) if is_clique[mask]]
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_packing_matches_linprog(linprog, data):
+    g = random_graph(data.draw, max_n=12)
+    a = np.array([[mask >> v & 1 for v in range(g.n)] for mask in _all_cliques(g)])
+    res = linprog(-np.ones(g.n), A_ub=a, b_ub=np.ones(len(a)), bounds=(0, None))
+    assert res.status == 0
+    val, x = fractional_packing(g)
+    assert abs(float(val) + res.fun) < 1e-9
+    assert sum(x) == val and all(v >= 0 for v in x)
+
+
+@pytest.mark.parametrize(
+    "d,kind,value", [(2, "separable", 9), (2, "entangled", 6), (2, "total", 15)]
+)
+def test_alpha_star_families(ortho_graph, d, kind, value):
+    assert fractional_packing(ortho_graph(d, kind))[0] == value
+
+
+def test_packing_duality_check_rejects():
+    # C5 scaled by D = 2: x = y = 1 on every vertex and edge is optimal
+    c5 = [0b00011, 0b00110, 0b01100, 0b11000, 0b10001]
+    _check_packing_duality(c5, [1] * 5, [1] * 5, 2)
+    _check_packing_duality([0b11], [1, 0], [1], 1)  # K2 at D = 1
+    bad = [
+        (c5, [2, 0, 1, 1, 1], [1] * 5, 2),  # x overfills edge {4, 0}
+        (c5, [1] * 5, [2, 0, 1, 1, 1], 2),  # y covers vertex 2 once
+        (c5, [1, 1, 1, 1, 0], [1] * 5, 2),  # objective values differ
+        ([0b11], [2, -1], [1], 1),  # negative primal entry
+    ]
+    for cliques, x, y, det in bad:
+        with pytest.raises(AssertionError):
+            _check_packing_duality(cliques, x, y, det)
 
 
 def test_packing_cap():
