@@ -26,19 +26,20 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .graphs import Graph, find_isomorphism, orthogonality_graph
-from .invariants import CliqueResult, independence_number
+from .invariants import CliqueResult, independence_number, verify_independent_set
 from .pauli import PauliOperator, hermitian_eigen, omega, omega_exp, pauli_matrix
 from .states import StabilizerState, StateFamily, enumerate_two_qudit, tensor_state
 from .zmod import mod_inverse, require_prime
 
-CLASSICAL_BOUNDS = {2: 2, 3: 9, 5: 35, 7: 84}
+# Largest dimension with a CHSH scenario: alpha comes from d^(d-1) strategies,
+# about 1.2e5 at d=7 and 1e10 at d=11.
+MAX_CHSH_DIMENSION = 7
 
 
 @dataclass
 class BellOperator:
     d: int
     matrix: np.ndarray
-    classical_bound: int
     measurement_labels: dict
 
 
@@ -85,18 +86,18 @@ def _measurement_paulis(d: int) -> tuple[list[PauliOperator], list[PauliOperator
 
 
 def chsh_operator(d: int) -> BellOperator:
-    """The two-qudit CHSH Bell operator with its classical bound."""
+    """The two-qudit CHSH Bell operator."""
     require_prime(d)
-    if d not in CLASSICAL_BOUNDS:
+    if d > MAX_CHSH_DIMENSION:
         raise UnsupportedDimensionError(
-            f"no classical bound is assumed beyond d=7; got d={d}"
+            f"CHSH scenarios stop at d={MAX_CHSH_DIMENSION}; got d={d}"
         )
     if d == 2:
         X = pauli_matrix(PauliOperator(2, (1,), (0,)))
         Y = pauli_matrix(PauliOperator(2, (1,), (1,)))
         M = np.kron(X, X) + np.kron(X, Y) + np.kron(Y, X) - np.kron(Y, Y)
         labels = {"A": ["X", "Y"], "B": ["X", "Y"]}
-        return BellOperator(2, M, CLASSICAL_BOUNDS[2], labels)
+        return BellOperator(2, M, labels)
     w = omega(d)
     A, B = _measurement_paulis(d)
     Am = [pauli_matrix(a) for a in A]
@@ -113,7 +114,7 @@ def chsh_operator(d: int) -> BellOperator:
         "A": [f"w^{a.phase}*XZ^{a.z[0]}" for a in A],
         "B": [f"w^{b.phase}*XZ^{b.z[0]}" for b in B],
     }
-    return BellOperator(d, M, CLASSICAL_BOUNDS[d], labels)
+    return BellOperator(d, M, labels)
 
 
 def chsh_block_labels(d: int) -> dict[tuple[int, int], int]:
@@ -144,12 +145,13 @@ def _single_eigenstate(d: int, z: int, k: int) -> StabilizerState:
     return StabilizerState.from_generators([gen], label=f"(1|{z})[{k}]")
 
 
-def chsh_scenario(d: int, alpha_budget: float = 60.0) -> ContextualityScenario:
+def chsh_scenario(d: int) -> ContextualityScenario:
     """Decompose the CHSH operator into d^3 stabilizer rank-1 projectors.
 
     Each rank-d block Pi_{(1,1|z1,z2)[kappa]} splits into the d products
     Pi_(1|z1)[a] (x) Pi_(1|z2)[b] with a + b = kappa; the dense identity
-    B = d*Sigma - d^2*I is verified to 1e-9 before anything downstream runs.
+    B = d*Sigma - d^2*I is verified to 1e-9 before the scenario is returned.
+    Vertex (z1*d + z2)*d + a is the product with first factor Pi_(1|z1)[a].
     """
     bell = chsh_operator(d)
     labels = chsh_block_labels(d)
@@ -168,15 +170,15 @@ def chsh_scenario(d: int, alpha_budget: float = 60.0) -> ContextualityScenario:
             tags.append((z1, z2, kappa, a, b))
     if len(set(states)) != d**3:
         raise DecompositionMismatchError("rank-1 projectors are not distinct")
+    graph = orthogonality_graph(StateFamily("chsh", d, tuple(states)))
+    alpha = strategy_alpha(d, labels, graph)
     sigma = np.zeros((dim, dim), dtype=complex)
     for st in states:
         sigma += st.projector_matrix()
     recon = d * sigma - d * d * np.eye(dim)
     if np.abs(recon - bell.matrix).max() > 1e-9:
         raise DecompositionMismatchError("B != d*Sigma - d^2*I for the derived labels")
-    graph = _product_orthogonality_graph(d, tags, states)
     lam = float(hermitian_eigen(sigma)[0][-1])
-    alpha = independence_number(graph, budget=alpha_budget)
     return ContextualityScenario(
         name=f"chsh-d{d}",
         d=d,
@@ -189,21 +191,41 @@ def chsh_scenario(d: int, alpha_budget: float = 60.0) -> ContextualityScenario:
     )
 
 
-def _product_orthogonality_graph(d, tags, states) -> Graph:
-    """Orthogonality among eigenbasis product states, by exact label rule:
-    (z1,a,z2,b) is orthogonal to (z1',a',z2',b') iff a factor shares its basis
-    and differs in eigenvalue."""
-    n = len(tags)
-    rows = [0] * n
-    for i in range(n):
-        z1, z2, _, a, b = tags[i]
-        for j in range(i + 1, n):
-            y1, y2, _, c, e = tags[j]
-            if (z1 == y1 and a != c) or (z2 == y2 and b != e):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    labels = tuple(s.label for s in states)
-    return Graph(n, rows, labels)
+def strategy_alpha(d: int, labels: dict[tuple[int, int], int], graph: Graph) -> CliqueResult:
+    """alpha of the CHSH graph as the best deterministic strategy.
+
+    Products are orthogonal iff a factor shares its basis with a different
+    eigenvalue, so an independent set is a pair of maps f, g: Z_d -> Z_d
+    taking one vertex from each cell (z1, z2) with f(z1) + g(z2) = kappa;
+    alpha is the most cells, the deterministic classical value (Fine, PRL 48,
+    291, 1982).  The shift (f + c, g - c) fixes f(0) = 0, and for each of the
+    d^(d-1) other f the best g(z2) is the most frequent kappa - f(z1) in
+    column z2.  The first best f and smallest best g give the witness.
+    """
+    kappa = np.zeros((d, d), dtype=np.int8)
+    for (z1, z2), k in labels.items():
+        kappa[z1, z2] = k
+    block = d ** (d - 2)  # the f with f(0) = 0 and one value of f(1)
+    f = np.zeros((d, block), dtype=np.int8)  # f[z1, i]: candidate i
+    f[2:] = np.indices((d,) * (d - 2), dtype=np.int8).reshape(d - 2, block)
+    best, best_f, best_g = -1, None, None
+    for f1 in range(d):
+        f[1] = f1
+        need = (kappa[:, None, :] - f[:, :, None]) % d  # [z1, i, z2]: g(z2) to score
+        hits = np.stack([(need == v).sum(axis=0, dtype=np.int8) for v in range(d)])
+        score = hits.max(axis=0).sum(axis=1, dtype=np.int16)
+        i = int(score.argmax())
+        if score[i] > best:
+            best, best_f, best_g = int(score[i]), f[:, i].copy(), hits[:, i].argmax(0)
+    witness = tuple(
+        (z1 * d + z2) * d + int(best_f[z1])
+        for z1 in range(d)
+        for z2 in range(d)
+        if (best_f[z1] + best_g[z2]) % d == kappa[z1, z2]
+    )
+    if len(witness) != best or not verify_independent_set(graph, witness):
+        raise AssertionError("strategy witness failed re-verification")
+    return CliqueResult(best, witness, exact=True)
 
 
 def regularity_conjecture_check(scenario: ContextualityScenario) -> bool:

@@ -30,7 +30,12 @@ from .bell import (
 from .clifford import is_conjugation_closed, traceless_set
 from .errors import QuditCtxError
 from .graphs import automorphism_count, orthogonality_graph
-from .invariants import compute_report, induced_odd_cycles, lovasz_theta
+from .invariants import (
+    THETA_VERTEX_LIMIT,
+    compute_report,
+    induced_odd_cycles,
+    lovasz_theta,
+)
 from .states import enumerate_single, enumerate_two_qudit, family_counts, group_tables
 from .zmod import require_prime
 
@@ -156,7 +161,6 @@ def cmd_invariants(config) -> dict:
         hilbert_dim=d if config.family == "single" else d * d,
         cover_hint=hint,
         normal_cayley=normal_cayley,
-        theta_cap=config.theta_cap,
     )
     payload = {"command": "invariants", "dimension": d, "family": config.family,
                "n": graph.n}
@@ -166,7 +170,7 @@ def cmd_invariants(config) -> dict:
 
 def cmd_chsh(config) -> dict:
     d = config.dimension
-    sc = chsh_scenario(d, alpha_budget=config.budget_seconds)
+    sc = chsh_scenario(d)
     payload = {
         "command": "chsh",
         "dimension": d,
@@ -177,8 +181,8 @@ def cmd_chsh(config) -> dict:
         "lambda_max": {"value": round(sc.qm_value, 6), "status": "tolerance"},
         "bell_bound_from_alpha": d * sc.nchv_bound.size - d * d,
     }
-    if sc.graph.n <= config.theta_cap:
-        th = lovasz_theta(sc.graph, tol=config.tolerance, max_vertices=config.theta_cap)
+    if sc.graph.n <= THETA_VERTEX_LIMIT:
+        th = lovasz_theta(sc.graph, tol=config.tolerance)
         sc.theta_bound = th.value
         payload["theta"] = {
             "value": round(th.value, 6),
@@ -237,7 +241,7 @@ def cmd_alt_chsh(config) -> dict:
 def cmd_export(config) -> dict:
     d = config.dimension
     if config.scenario == "chsh":
-        graph = chsh_scenario(d, alpha_budget=1.0).graph
+        graph = chsh_scenario(d).graph
         name = f"chsh-d{d}"
     else:
         fam = build_family(d, config.family)
@@ -277,8 +281,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["table", "json", "csv", "dimacs"],
                         default="json")
     common.add_argument("--out", default=None)
-    common.add_argument("--theta-cap", type=int, default=200, dest="theta_cap",
-                        help="largest vertex count passed to the theta SDP")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("counts", parents=[common]).add_argument(
         "--verify", action="store_true", help="re-enumerate families and compare"
@@ -316,8 +318,6 @@ def main(argv: list[str] | None = None) -> int:
             raise QuditCtxError("tolerance must lie in (0, 0.1)")
         if not (math.isfinite(config.budget_seconds) and config.budget_seconds > 0):
             raise QuditCtxError("budget must be a positive finite number of seconds")
-        if config.theta_cap <= 0:
-            raise QuditCtxError("theta cap must be positive")
         if getattr(config, "k_max", 1) <= 0:
             raise QuditCtxError("k-max must be positive")
         if config.format == "dimacs" and config.command != "export":

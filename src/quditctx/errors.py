@@ -50,7 +50,7 @@ class InvalidHintError(QuditCtxError, ValueError):
 
 
 class UnsupportedDimensionError(QuditCtxError, ValueError):
-    """No classical bound or construction is available for this dimension."""
+    """No construction is available for this dimension."""
 
 
 class DecompositionMismatchError(QuditCtxError, ValueError):

@@ -313,6 +313,34 @@ def _refine_invariants(g: Graph, rounds: int = 3) -> list[tuple]:
     return inv
 
 
+def _bijections(g: Graph, h: Graph, gi: list[tuple], hi: list[tuple]):
+    """Every adjacency-preserving bijection g -> h that keeps the refined
+    invariants, by backtracking; yields one shared list (mapping[u] = v).
+
+    Vertices are placed fewest candidates first, each trying its candidates
+    in ascending order.  Candidate v fits u iff the images of u's placed
+    neighbours are exactly v's neighbours among the used vertices.
+    """
+    candidates = [[v for v in range(h.n) if hi[v] == gi[u]] for u in range(g.n)]
+    order = sorted(range(g.n), key=lambda u: len(candidates[u]))
+    mapping = [-1] * g.n
+
+    def extend(idx: int, mapped: int, used: int):
+        if idx == g.n:
+            yield mapping
+            return
+        u = order[idx]
+        image = 0
+        for w in _bits(g.rows[u] & mapped):
+            image |= 1 << mapping[w]
+        for v in candidates[u]:
+            if not used >> v & 1 and h.rows[v] & used == image:
+                mapping[u] = v
+                yield from extend(idx + 1, mapped | 1 << u, used | 1 << v)
+
+    return extend(0, 0, 0)
+
+
 def find_isomorphism(g: Graph, h: Graph, max_n: int = 64) -> list[int] | None:
     """A bijection mapping g-vertices to h-vertices preserving adjacency, or None.
 
@@ -328,38 +356,8 @@ def find_isomorphism(g: Graph, h: Graph, max_n: int = 64) -> list[int] | None:
     hi = _refine_invariants(h)
     if sorted(gi) != sorted(hi):
         return None
-    candidates = [
-        [v for v in range(h.n) if hi[v] == gi[u]] for u in range(g.n)
-    ]
-    order = sorted(range(g.n), key=lambda u: len(candidates[u]))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(idx: int) -> bool:
-        if idx == g.n:
-            return True
-        u = order[idx]
-        for v in candidates[u]:
-            if used[v]:
-                continue
-            ok = True
-            for w in range(g.n):
-                if mapping[w] >= 0:
-                    if g.has_edge(u, w) != h.has_edge(v, mapping[w]):
-                        ok = False
-                        break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if extend(idx + 1):
-                    return True
-                mapping[u] = -1
-                used[v] = False
-        return False
-
-    if extend(0):
-        return mapping
-    return None
+    mapping = next(_bijections(g, h, gi, hi), None)
+    return None if mapping is None else list(mapping)
 
 
 def verify_bijection(g: Graph, h: Graph, mapping: list[int]) -> bool:
@@ -377,32 +375,4 @@ def automorphism_count(g: Graph, max_n: int = 64) -> int:
     if g.n > max_n:
         raise ValueError(f"automorphism count capped at {max_n} vertices")
     gi = _refine_invariants(g)
-    candidates = [[v for v in range(g.n) if gi[v] == gi[u]] for u in range(g.n)]
-    order = sorted(range(g.n), key=lambda u: len(candidates[u]))
-    mapping = [-1] * g.n
-    used = [False] * g.n
-    count = 0
-
-    def extend(idx: int) -> None:
-        nonlocal count
-        if idx == g.n:
-            count += 1
-            return
-        u = order[idx]
-        for v in candidates[u]:
-            if used[v]:
-                continue
-            ok = True
-            for w in range(g.n):
-                if mapping[w] >= 0 and g.has_edge(u, w) != g.has_edge(v, mapping[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                extend(idx + 1)
-                mapping[u] = -1
-                used[v] = False
-
-    extend(0)
-    return count
+    return sum(1 for _ in _bijections(g, g, gi, gi))

@@ -32,6 +32,8 @@ from .graphs import Graph, _bits
 DEFAULT_BUDGET = 60.0
 # largest graph given an exact chromatic search (and so an exact clique cover)
 EXACT_COLORING_LIMIT = 64
+# largest graph given the theta SDP
+THETA_VERTEX_LIMIT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +524,7 @@ def lovasz_theta(
     g: Graph,
     tol: float = 1e-6,
     max_iter: int = 100_000,
-    max_vertices: int = 200,
+    max_vertices: int = THETA_VERTEX_LIMIT,
     check_every: int = 250,
 ) -> ThetaResult:
     """theta(g) via the SDP max <J,X>, Tr X = 1, X_ij = 0 on edges, X >= 0.
@@ -748,7 +750,6 @@ def compute_report(
     hilbert_dim: int | None = None,
     cover_hint: list[list[int]] | None = None,
     normal_cayley: bool = False,
-    theta_cap: int = 200,
 ) -> InvariantReport:
     """Assemble the alpha/omega/chi/chibar/alpha*/theta report for one graph.
 
@@ -797,8 +798,8 @@ def compute_report(
             rep.set("alpha_star", astar, "exact")
         except BudgetExceededError:
             rep.set("alpha_star", None, "skipped")
-        if g.n <= theta_cap:
-            th = lovasz_theta(g, tol=tol, max_vertices=theta_cap)
+        if g.n <= THETA_VERTEX_LIMIT:
+            th = lovasz_theta(g, tol=tol)
             rep.set("theta", th.value, th.status, gap=th.gap, lower=th.lower, upper=th.upper)
         else:
             rep.set("theta", None, "skipped")

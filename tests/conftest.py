@@ -10,7 +10,8 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run extended-budget checks (d=5 theta, d=5/7 independence numbers)",
+        help="run extended-budget checks (d=5 entangled/total alpha, "
+        "d=7 CHSH alpha by branch and bound)",
     )
 
 
@@ -54,9 +55,9 @@ def ortho_graph(family):
 def chsh(request):
     cache = {}
 
-    def get(d, alpha_budget=60.0):
+    def get(d):
         if d not in cache:
-            cache[d] = chsh_scenario(d, alpha_budget=alpha_budget)
+            cache[d] = chsh_scenario(d)
         return cache[d]
 
     return get

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from quditctx.bell import (
+    MAX_CHSH_DIMENSION,
+    _single_eigenstate,
     alternate_chsh_scenario,
     chsh_block_labels,
     chsh_operator,
@@ -16,8 +18,14 @@ from quditctx.bell import (
 )
 from quditctx.errors import UnsupportedDimensionError
 from quditctx.graphs import Graph, find_isomorphism
-from quditctx.invariants import fractional_packing, lovasz_theta
+from quditctx.invariants import (
+    fractional_packing,
+    independence_number,
+    lovasz_theta,
+    verify_independent_set,
+)
 from quditctx.pauli import PauliOperator, pauli_matrix
+from quditctx.states import is_orthogonal, tensor_state
 
 
 # ---------------------------------------------------------------------------
@@ -30,12 +38,13 @@ def test_qubit_operator_matches_xy_form():
     Y = pauli_matrix(PauliOperator(2, (1,), (1,)))
     want = np.kron(X, X) + np.kron(X, Y) + np.kron(Y, X) - np.kron(Y, Y)
     assert np.abs(b.matrix - want).max() < 1e-12
-    assert b.classical_bound == 2
 
 
-@pytest.mark.parametrize("d,bound", [(3, 9), (5, 35), (7, 84)])
-def test_classical_bounds(d, bound):
-    assert chsh_operator(d).classical_bound == bound
+@pytest.mark.parametrize("d,bound", [(2, 2), (3, 9), (5, 35), (7, 84)])
+def test_classical_bounds(d, bound, chsh):
+    # the NCHV bound on <B> follows from alpha as d*alpha - d^2
+    alpha = chsh(d).nchv_bound
+    assert alpha.exact and d * alpha.size - d * d == bound
 
 
 def test_operator_hermitian():
@@ -45,6 +54,7 @@ def test_operator_hermitian():
 
 
 def test_unsupported_dimension():
+    assert MAX_CHSH_DIMENSION == 7
     with pytest.raises(UnsupportedDimensionError):
         chsh_operator(11)
 
@@ -81,7 +91,46 @@ def test_chsh_scenario_paper_rows(d, order, reg, alpha, lmax, chsh):
     assert regularity_conjecture_check(sc)
     assert sc.nchv_bound.size == alpha and sc.nchv_bound.exact
     assert abs(sc.qm_value - lmax) < 1e-3
-    assert d * alpha - d * d == chsh_operator(d).classical_bound
+    assert verify_independent_set(sc.graph, sc.nchv_bound.witness)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_strategy_alpha_matches_branch_and_bound(d, chsh):
+    sc = chsh(d)
+    res = independence_number(sc.graph)
+    assert res.exact and res.size == sc.nchv_bound.size
+
+
+def label_rule_rows(tags):
+    """The CHSH graph by its label rule: (z1,a,z2,b) ~ (z1',a',z2',b') iff a
+    factor shares its basis and differs in eigenvalue."""
+    n = len(tags)
+    rows = [0] * n
+    for i, (z1, z2, _, a, b) in enumerate(tags):
+        for j, (y1, y2, _, c, e) in enumerate(tags):
+            if (z1 == y1 and a != c) or (z2 == y2 and b != e):
+                rows[i] |= 1 << j
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_chsh_graph_matches_label_rule(d, chsh):
+    """The Gram-built graph agrees with the label rule, and at d <= 3 with
+    the exact stabilizer orthogonality predicate on every pair."""
+    sc = chsh(d)
+    tags = sc.projector_labels
+    assert sc.graph.rows == label_rule_rows(tags)
+    assert sc.graph.labels == tuple(
+        f"(1|{z1})[{a}]x(1|{z2})[{b}]" for (z1, z2, _, a, b) in tags
+    )
+    if d <= 3:
+        states = [
+            tensor_state(_single_eigenstate(d, z1, a), _single_eigenstate(d, z2, b))
+            for (z1, z2, _, a, b) in tags
+        ]
+        for i in range(d**3):
+            for j in range(i + 1, d**3):
+                assert sc.graph.has_edge(i, j) == is_orthogonal(states[i], states[j])
 
 
 def test_qubit_graph_is_trace_orthogonality(chsh):
@@ -104,23 +153,6 @@ def test_scenario_projectors_are_valid_rank1(chsh):
     # Sigma reconstructs the Bell operator
     b = chsh_operator(3).matrix
     assert np.abs(3 * sc.sigma - 9 * np.eye(9) - b).max() < 1e-9
-
-
-def test_qutrit_graph_matches_exact_predicate(chsh):
-    """The label rule defining the graph agrees with the stabilizer
-    orthogonality predicate on every pair."""
-    from quditctx.states import is_orthogonal
-    from quditctx.bell import _single_eigenstate
-    from quditctx.states import tensor_state
-
-    sc = chsh(3)
-    states = [
-        tensor_state(_single_eigenstate(3, z1, a), _single_eigenstate(3, z2, b))
-        for (z1, z2, _, a, b) in sc.projector_labels
-    ]
-    for i in range(27):
-        for j in range(i + 1, 27):
-            assert sc.graph.has_edge(i, j) == is_orthogonal(states[i], states[j])
 
 
 def test_qubit_theta_value(chsh):
@@ -234,7 +266,6 @@ def test_solution_space_structure():
     sols = list(iter_alternate_chsh_solutions())
     assert len(sols) == 80
     pan = Graph.pan(5).complement()
-    from quditctx.states import is_orthogonal
 
     pan_count = 0
     for states in sols:

@@ -130,14 +130,13 @@ def test_invalid_k_max_exit_code(capsys, value):
     assert "k-max must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_invalid_theta_cap_exit_code(capsys, value):
-    code = main(["chsh", "-d", "2", "--theta-cap", value])
+def test_chsh_unsupported_dimension_exit_code(capsys):
+    code = main(["chsh", "-d", "11"])
     assert code == 2
-    assert "theta cap must be positive" in capsys.readouterr().err
+    assert "CHSH scenarios stop at d=7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--jobs", "--seed"])
+@pytest.mark.parametrize("flag", ["--jobs", "--seed", "--theta-cap"])
 def test_jobs_flag_is_gone(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["counts", flag, "1"])

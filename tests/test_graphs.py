@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from quditctx.clifford import enumerate_clifford, identity_clifford, traceless_s
 from quditctx.errors import BadConnectionSetError, DimacsFormatError
 from quditctx.graphs import (
     Graph,
+    _bits,
     automorphism_count,
     cayley_graph,
     disjoint_union,
@@ -175,6 +178,20 @@ def test_gram_graph_matches_predicate(family, d, kind):
             assert g.has_edge(i, j) == (i != j and is_orthogonal(s, t))
 
 
+@pytest.mark.parametrize("kind", ["separable", "entangled"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_gram_graph_matches_predicate_d5(family, ortho_graph, kind, data):
+    # a random pair, and a random neighbour of its first state so that
+    # orthogonal pairs are drawn as often as the rest
+    states = family(5, kind).states
+    g = ortho_graph(5, kind)
+    i, j = data.draw(st.tuples(*[st.integers(0, g.n - 1)] * 2))
+    k = data.draw(st.sampled_from(list(_bits(g.rows[i]))))
+    for t in (j, k):
+        assert g.has_edge(i, t) == (i != t and is_orthogonal(states[i], states[t]))
+
+
 # ---------------------------------------------------------------------------
 # Cayley graphs
 # ---------------------------------------------------------------------------
@@ -295,7 +312,33 @@ def test_isomorphism_under_relabeling(data):
     assert m is not None and verify_bijection(g, h, m)
 
 
-def test_automorphism_counts():
+def test_automorphism_counts(chsh):
     assert automorphism_count(Graph.cycle(5)) == 10
     assert automorphism_count(Graph.complete(4)) == 24
     assert automorphism_count(Graph.empty(3)) == 6
+    assert automorphism_count(chsh(3).graph) == 216
+
+
+def _brute_bijections(g: Graph, h: Graph) -> list[list[int]]:
+    """Every adjacency-preserving bijection g -> h, over all permutations."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return []
+    h_edges = {(i, j) for i, j in h.edges()} | {(j, i) for i, j in h.edges()}
+    return [
+        list(p) for p in permutations(range(g.n))
+        if all((p[i], p[j]) in h_edges for i, j in g.edges())
+    ]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bijection_search_matches_brute_force(data):
+    g = random_graph(data.draw, max_n=7)
+    if data.draw(st.booleans()):
+        h = g.relabeled(list(data.draw(st.permutations(range(g.n)))))
+    else:
+        h = random_graph(data.draw, max_n=7)
+    assert automorphism_count(g) == len(_brute_bijections(g, g))
+    m = find_isomorphism(g, h)
+    iso = _brute_bijections(g, h)
+    assert m in iso if iso else m is None
