@@ -130,6 +130,16 @@ def test_invalid_k_max_exit_code(capsys, value):
     assert "k-max must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_invalid_theta_cap_exit_code(capsys, value):
+    # --theta-cap is gone (theta uses THETA_VERTEX_LIMIT); a call that
+    # still passes it, with a value the old check refused, still exits 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["chsh", "-d", "2", "--theta-cap", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theta-cap" in capsys.readouterr().err
+
+
 def test_chsh_unsupported_dimension_exit_code(capsys):
     code = main(["chsh", "-d", "11"])
     assert code == 2
