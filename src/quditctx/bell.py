@@ -9,7 +9,9 @@ The qudit Bell operator (odd prime d) uses the measurement family
 summed as B = sum_{n in Z_d*, j,k} omega^{njk} A_j^n (x) B_k^n, which collapses
 to d * Sigma - d^2 * I over d^2 rank-d Pauli eigenprojectors.  Labels are
 derived by exact phased-Pauli arithmetic and then validated against the dense
-identity, which is the binding check.
+identity, which is the binding check.  Sigma is summed from the d^3 product
+projectors, each the kron of two of the d^2 single-qudit eigenprojectors, so
+no two-qudit projector is expanded over its stabilizer group.
 """
 
 from __future__ import annotations
@@ -149,22 +151,26 @@ def chsh_scenario(d: int) -> ContextualityScenario:
     """Decompose the CHSH operator into d^3 stabilizer rank-1 projectors.
 
     Each rank-d block Pi_{(1,1|z1,z2)[kappa]} splits into the d products
-    Pi_(1|z1)[a] (x) Pi_(1|z2)[b] with a + b = kappa; the dense identity
+    Pi_(1|z1)[a] (x) Pi_(1|z2)[b] with a + b = kappa.  The d^2 single-qudit
+    projectors Pi_(1|z)[k] are built once from their exact states, each
+    product projector is one kron of two of them, and Sigma is the sum of
+    those products.  The product states the graph is built from are tensors
+    of the same single-qudit states.  The dense identity
     B = d*Sigma - d^2*I is verified to 1e-9 before the scenario is returned.
     Vertex (z1*d + z2)*d + a is the product with first factor Pi_(1|z1)[a].
     """
     bell = chsh_operator(d)
     labels = chsh_block_labels(d)
     dim = d * d
+    single = [[_single_eigenstate(d, z, k) for k in range(d)] for z in range(d)]
+    local = [[s.projector_matrix() for s in row] for row in single]
     states: list[StabilizerState] = []
     tags: list[tuple] = []
     for (z1, z2), kappa in sorted(labels.items()):
         for a in range(d):
             b = (kappa - a) % d
             st = tensor_state(
-                _single_eigenstate(d, z1, a),
-                _single_eigenstate(d, z2, b),
-                label=f"(1|{z1})[{a}]x(1|{z2})[{b}]",
+                single[z1][a], single[z2][b], label=f"(1|{z1})[{a}]x(1|{z2})[{b}]"
             )
             states.append(st)
             tags.append((z1, z2, kappa, a, b))
@@ -172,9 +178,8 @@ def chsh_scenario(d: int) -> ContextualityScenario:
         raise DecompositionMismatchError("rank-1 projectors are not distinct")
     graph = orthogonality_graph(StateFamily("chsh", d, tuple(states)))
     alpha = strategy_alpha(d, labels, graph)
-    sigma = np.zeros((dim, dim), dtype=complex)
-    for st in states:
-        sigma += st.projector_matrix()
+    projectors = [np.kron(local[z1][a], local[z2][b]) for z1, z2, _, a, b in tags]
+    sigma = sum(projectors)
     recon = d * sigma - d * d * np.eye(dim)
     if np.abs(recon - bell.matrix).max() > 1e-9:
         raise DecompositionMismatchError("B != d*Sigma - d^2*I for the derived labels")
@@ -182,7 +187,7 @@ def chsh_scenario(d: int) -> ContextualityScenario:
     return ContextualityScenario(
         name=f"chsh-d{d}",
         d=d,
-        projectors=[st.projector_matrix() for st in states],
+        projectors=projectors,
         projector_labels=tags,
         graph=graph,
         sigma=sigma,

@@ -28,10 +28,9 @@ from .bell import (
     regularity_conjecture_check,
 )
 from .clifford import is_conjugation_closed, traceless_set
-from .errors import QuditCtxError
+from .errors import BudgetExceededError, QuditCtxError
 from .graphs import automorphism_count, orthogonality_graph
 from .invariants import (
-    THETA_VERTEX_LIMIT,
     compute_report,
     induced_odd_cycles,
     lovasz_theta,
@@ -181,15 +180,16 @@ def cmd_chsh(config) -> dict:
         "lambda_max": {"value": round(sc.qm_value, 6), "status": "tolerance"},
         "bell_bound_from_alpha": d * sc.nchv_bound.size - d * d,
     }
-    if sc.graph.n <= THETA_VERTEX_LIMIT:
+    try:
         th = lovasz_theta(sc.graph, tol=config.tolerance)
         sc.theta_bound = th.value
         payload["theta"] = {
             "value": round(th.value, 6),
             "gap": th.gap,
             "status": th.status,
+            "route": th.route,
         }
-    else:
+    except BudgetExceededError:
         payload["theta"] = {"value": None, "status": "skipped"}
     cycles = induced_odd_cycles(sc.graph, config.k_max, budget=config.budget_seconds)
     payload["induced_odd_cycles"] = {
@@ -222,7 +222,8 @@ def cmd_kcbs(config) -> dict:
         "command": "kcbs",
         "alpha": {"value": sc.nchv_bound.size, "status": sc.nchv_bound.status},
         "lambda_max": {"value": round(sc.qm_value, 9), "status": "tolerance"},
-        "theta": {"value": round(th.value, 9), "gap": th.gap, "status": th.status},
+        "theta": {"value": round(th.value, 9), "gap": th.gap, "status": th.status,
+                  "route": th.route},
     }
 
 

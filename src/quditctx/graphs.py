@@ -246,7 +246,8 @@ def orthogonality_graph(family: StateFamily) -> Graph:
     ratio is a character of the subgroup S n T, so the sum is 0 (orthogonal)
     or the integer |S n T| >= 1 (Aaronson-Gottesman, PRA 70, 052328, 2004;
     Gross, JMP 47, 122107, 2006).  Each state becomes the real row
-    [cos theta | sin theta] over the d^(2n) keys, theta = 2 pi phase /
+    [cos theta | sin theta] over the keys any state carries (at most
+    d^(2n); 1849 of the 2401 at d=7 for CHSH), theta = 2 pi phase /
     phase_order(d) and 0 on absent keys, so the Gram entry of two rows is
     that sum.  An entry is an edge iff it is < 1/2.  A row has at most
     d^n <= 49 nonzeros, so the float32 rounding error of an entry is below
@@ -255,8 +256,10 @@ def orthogonality_graph(family: StateFamily) -> Graph:
     states = family.states
     n = len(states)
     d = states[0].d
-    keys = d ** (2 * states[0].n)
     key_idx, phase = group_tables(states)
+    used = np.bincount(key_idx.ravel()) > 0
+    keys = int(used.sum())
+    key_idx = (np.cumsum(used) - 1)[key_idx]
     theta = (2 * np.pi / phase_order(d)) * phase
     w = np.zeros((n, 2 * keys), dtype=np.float32)
     at = np.arange(n)[:, None]

@@ -11,9 +11,11 @@ induced odd-cycle detection:
   complement on small graphs, greedy otherwise;
 * fractional packing: pivoting Bron-Kerbosch maximal-clique enumeration and
   an exact rational simplex, so values like 5/2 come out as Fractions;
-* Lovasz theta: an ADMM splitting on the standard SDP with a rigorous
-  dual certificate (any edge-supported correction Y gives the upper bound
-  lambda_max(J - Y)), reported as a two-sided bracket;
+* Lovasz theta: an LP over the graph's association scheme when its
+  coherent closure is small and commutative, else an ADMM splitting on the
+  standard SDP; either way a rigorous dual certificate (any edge-supported
+  correction Y gives the upper bound lambda_max(J - Y)) and a feasible
+  primal give a two-sided bracket;
 * induced odd cycles C_{2k+1} and their complements, exhaustive within budget.
 """
 
@@ -23,6 +25,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -500,8 +503,12 @@ def fractional_packing(
 
 
 # ---------------------------------------------------------------------------
-# Lovasz theta (ADMM with dual certificate)
+# Lovasz theta (association scheme LP or ADMM, with a dual certificate)
 # ---------------------------------------------------------------------------
+
+# most relations the coherent closure may reach before the scheme route gives up
+SCHEME_RELATION_LIMIT = 10
+
 
 @dataclass
 class ThetaResult:
@@ -510,6 +517,7 @@ class ThetaResult:
     upper: float
     iterations: int
     converged: bool
+    route: str = "admm"
 
     @property
     def gap(self) -> float:
@@ -520,53 +528,223 @@ class ThetaResult:
         return "tolerance" if self.converged else "no-convergence"
 
 
-def lovasz_theta(
+def _adjacency(g: Graph) -> np.ndarray:
+    """The n x n boolean adjacency matrix of g."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(
+        b"".join(r.to_bytes(width, "little") for r in g.rows), dtype=np.uint8
+    ).reshape(g.n, width)
+    return np.unpackbits(packed, axis=1, count=g.n, bitorder="little").astype(bool)
+
+
+def coherent_closure(g: Graph) -> tuple[np.ndarray, np.ndarray] | None:
+    """g's coherent closure when it is a commutative association scheme of
+    at most SCHEME_RELATION_LIMIT relations, else None.
+
+    Returns (rel, p): rel[i, j] names the relation holding the pair (i, j),
+    and p[a, b, k] is the intersection number, the (i, j) entry of A_a A_b
+    on every pair of relation k.  2-dimensional Weisfeiler-Leman refinement
+    starts from {I, A, J - A - I}: a relation splits whenever some product
+    A_a A_b of relation matrices is not constant on it.  A pass over all
+    products with no split proves the relations closed under
+    multiplication.  Refinement stops early once the diagonal splits (more
+    than one fibre) or the relation count passes the limit; a closure with
+    p[a, b] != p[b, a] is not commutative and is rejected too.
+    """
+    n = g.n
+    rel = np.where(_adjacency(g), 1, 2)
+    np.fill_diagonal(rel, 0)
+    rel = _relabel(rel.ravel())  # a complete or empty graph has two relations
+    while True:
+        r = int(rel.max()) + 1
+        rep = _representatives(rel)
+        p = np.empty((r, r, r))
+        split = False
+        for a in range(r):
+            left = (rel == a).reshape(n, n).astype(np.float32)
+            for b in range(r):
+                right = (rel == b).reshape(n, n).astype(np.float32)
+                count = (left @ right).ravel()  # exact: sums of 0/1 below 2^24
+                if (count[rep][rel] != count).any():
+                    rel = _relabel(rel.astype(np.int32) * (n + 1) + count.astype(np.int32))
+                    if rel is None or (rel[:: n + 1] != rel[0]).any():
+                        return None
+                    rep = _representatives(rel)
+                    split = True
+                elif not split:
+                    p[a, b] = count[rep]
+        if not split:
+            break
+    if (p != p.transpose(1, 0, 2)).any():
+        return None
+    return rel.reshape(n, n), p
+
+
+def _relabel(key: np.ndarray) -> np.ndarray | None:
+    """The values of key renamed 0, 1, ... in sorted order, or None if there
+    are more than SCHEME_RELATION_LIMIT of them."""
+    label = np.cumsum(np.bincount(key) > 0) - 1
+    return None if label[-1] >= SCHEME_RELATION_LIMIT else label.astype(np.uint8)[key]
+
+
+def _representatives(rel: np.ndarray) -> np.ndarray:
+    """The first flat index of each relation in a relation matrix."""
+    flat = rel.ravel()
+    return np.array([np.argmax(flat == k) for k in range(int(flat.max()) + 1)])
+
+
+def _vertex_lp(c: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """argmax c.x subject to G x <= h, for a bounded LP with a vertex and a
+    handful of variables: each vertex solves len(c) linearly independent
+    rows of G x = h, and the best feasible one is optimal.  None if no
+    vertex is feasible."""
+    k = len(c)
+    if k == 0:
+        return np.zeros(0)
+    slack = 1e-9 * (1.0 + np.abs(h).max())
+    best, arg = -np.inf, None
+    for rows in combinations(range(len(G)), k):
+        sub = G[list(rows)]
+        if np.linalg.matrix_rank(sub) < k:
+            continue
+        x = np.linalg.solve(sub, h[list(rows)])
+        if (G @ x <= h + slack).all() and c @ x > best:
+            best, arg = c @ x, x
+    return arg
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    edges = g.edges()
+    ei = np.array([e[0] for e in edges], dtype=int)
+    ej = np.array([e[1] for e in edges], dtype=int)
+    return ei, ej
+
+
+def _theta_affine(M: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """M symmetrized, zeroed on the edges and shifted on the diagonal to trace 1."""
+    n = len(M)
+    M = M + M.T
+    M *= 0.5
+    if len(ei):
+        M[ei, ej] = 0.0
+        M[ej, ei] = 0.0
+    M[np.diag_indices(n)] += (1.0 - np.trace(M)) / n
+    return M
+
+
+def _theta_bracket(
+    X: np.ndarray, on_edges: np.ndarray, ei: np.ndarray, ej: np.ndarray
+) -> tuple[float, float]:
+    """A certified (lower, upper) bracket on theta from any n x n X and any
+    values on the edges (ei[k], ej[k]).
+
+    Upper: theta <= lambda_max(M) for every symmetric M equal to 1 on the
+    diagonal and the non-edges; M takes ``on_edges`` on the edges.  Lower:
+    X moved onto the affine constraints and mixed with I/n until PSD is a
+    feasible point of the SDP, and <J, X> at it is attained.
+    """
+    n = len(X)
+    A = np.ones((n, n))
+    A[ei, ej] = A[ej, ei] = on_edges
+    upper = float(np.linalg.eigvalsh(A)[-1])
+    del A
+    Xhat = _theta_affine(X, ei, ej)
+    mix = max(0.0, -float(np.linalg.eigvalsh(Xhat)[0]))
+    Xhat[np.diag_indices(n)] += mix
+    Xhat /= 1.0 + mix * n
+    return float(np.sum(Xhat)), upper
+
+
+def scheme_theta(g: Graph, tol: float = 1e-6) -> ThetaResult | None:
+    """theta(g) from the LP over g's association scheme (route "scheme"), or
+    None when g has none of at most SCHEME_RELATION_LIMIT relations or the
+    certified gap exceeds tol.
+
+    On a commutative scheme an optimal theta matrix lies in the Bose-Mesner
+    algebra (Schrijver, IEEE TIT 25, 425, 1979; de Klerk-Pasechnik-Schrijver,
+    Math. Program. 109, 613, 2007).  Relations merged with their transposes
+    give symmetric classes B_c.  Their eigenmatrix P (P[j, c] = eigenvalue
+    of B_c on eigenspace j) comes from the intersection numbers: the maps
+    "multiply by B_c" on the basis {B_c} share their eigenvectors, read off
+    one generic combination whose eigenvalues must be distinct and real.
+    With x_c = 1 on the diagonal class and 0 on the edge classes:
+
+      primal  max sum_c deg_c x_c  subject to  P x >= 0,
+              lifted to X = sum_c x_c B_c / n;
+      dual    min s over edge weights t_c  subject to  s >= each eigenvalue
+              of J + sum_c t_c B_c, lifted to that matrix.
+
+    ``_theta_bracket`` certifies both lifts on the full n x n matrices.
+    """
+    closure = coherent_closure(g)
+    if closure is None:
+        return None
+    rel, p = closure
+    n = g.n
+    r = len(p)
+    # merge each relation with its transpose into a symmetric class
+    rep = _representatives(rel)
+    merged = _relabel(np.minimum(np.arange(r), rel[rep % n, rep // n]))
+    s = int(merged.max()) + 1
+    # q[I, J, k]: coefficient of A_k in B_I B_J, equal on k and its transpose
+    q = np.zeros((s, s, r))
+    np.add.at(q, (merged[:, None], merged[None, :]), p)
+    Q = q[:, :, _representatives(merged)]
+    if (Q[:, :, merged] != q).any():
+        return None
+    # L[I] multiplies by B_I: L[I][K, J] = Q[I, J, K].  Fixed generic weights;
+    # eigenvalues tied on them fail the check and leave g to the ADMM.
+    L = Q.transpose(0, 2, 1)
+    w, U = np.linalg.eig(np.tensordot(1.0 / (np.arange(s) + np.pi), L, 1))
+    gaps = np.diff(np.sort(w.real))
+    if np.abs(w.imag).max() > 1e-9 or (gaps < 1e-6 * np.abs(w).max()).any():
+        return None
+    P = np.einsum("jk,ikl,lj->ji", np.linalg.inv(U), L, U).real
+    sym = merged[rel]
+    diag = sym[0, 0]
+    edge = np.array([g.has_edge(*divmod(int(i), n)) for i in _representatives(sym)])
+    free = np.flatnonzero(~edge & (np.arange(s) != diag))
+    deg = np.bincount(sym[0], minlength=s).astype(float)
+    hit = np.flatnonzero(edge)
+    minimize_s = np.zeros(len(hit) + 1)
+    minimize_s[-1] = -1.0
+    primal = _vertex_lp(deg[free], -P[:, free], P[:, diag])
+    dual = _vertex_lp(minimize_s, np.hstack([P[:, hit], -np.ones((s, 1))]), -P.sum(axis=1))
+    if primal is None or dual is None:
+        return None
+    x = np.zeros(s)
+    x[diag] = 1.0
+    x[free] = primal
+    t = np.zeros(s)
+    t[hit] = dual[:-1]
+    ei, ej = _edge_arrays(g)
+    X = x[sym]
+    X /= n
+    lo, up = _theta_bracket(X, 1.0 + t[sym[ei, ej]], ei, ej)
+    if up - lo > tol:
+        return None
+    return ThetaResult(0.5 * (lo + up), lo, up, 0, True, "scheme")
+
+
+def admm_theta(
     g: Graph,
     tol: float = 1e-6,
     max_iter: int = 100_000,
     max_vertices: int = THETA_VERTEX_LIMIT,
     check_every: int = 250,
 ) -> ThetaResult:
-    """theta(g) via the SDP max <J,X>, Tr X = 1, X_ij = 0 on edges, X >= 0.
+    """theta(g) by the ADMM splitting (route "admm"), capped at max_vertices.
 
-    Alternating projections (ADMM splitting) between the affine constraints
-    and the PSD cone.  The scaled dual variable yields an edge-supported Y
-    with the rigorous bound theta <= lambda_max(J - Y); a PSD mixture with
-    I/n gives a feasible primal, so the returned bracket is certified
-    regardless of how far the iteration converged.
+    Alternating projections between the affine constraints and the PSD
+    cone.  The scaled dual variable gives the edge values of the upper
+    bound, the iterate the primal, so ``_theta_bracket`` certifies the
+    bracket however far the iteration converged.
     """
     n = g.n
-    if n == 0:
-        return ThetaResult(0.0, 0.0, 0.0, 0, True)
     if n > max_vertices:
         raise BudgetExceededError(f"theta SDP capped at {max_vertices} vertices")
-    edges = g.edges()
-    ei = np.array([e[0] for e in edges], dtype=int)
-    ej = np.array([e[1] for e in edges], dtype=int)
+    ei, ej = _edge_arrays(g)
     J = np.ones((n, n))
-
-    def proj_affine(M: np.ndarray) -> np.ndarray:
-        M = 0.5 * (M + M.T)
-        if len(ei):
-            M[ei, ej] = 0.0
-            M[ej, ei] = 0.0
-        M[np.diag_indices(n)] += (1.0 - np.trace(M)) / n
-        return M
-
-    def certify(U: np.ndarray, Z: np.ndarray, rho: float) -> tuple[float, float]:
-        S = -rho * U  # dual PSD slack S = tI + Y - J
-        A = np.ones((n, n))
-        if len(ei):
-            A[ei, ej] = -S[ei, ej]
-            A[ej, ei] = -S[ej, ei]
-        upper = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-        Xf = proj_affine(Z.copy())
-        lam_min = float(np.linalg.eigvalsh(0.5 * (Xf + Xf.T))[0])
-        mix = max(0.0, -lam_min)
-        Xhat = (Xf + mix * np.eye(n)) / (1.0 + mix * n)
-        lower = float(np.sum(Xhat))
-        return lower, upper
-
     rho = 1.0
     Z = np.eye(n) / n
     U = np.zeros((n, n))
@@ -574,7 +752,7 @@ def lovasz_theta(
     it = 0
     res_tol = max(tol * 1e-2, 1e-12)
     for it in range(1, max_iter + 1):
-        X = proj_affine(Z - U + J / rho)
+        X = _theta_affine(Z - U + J / rho, ei, ej)
         W = X + U
         w, V = np.linalg.eigh(W)
         Zn = (V * np.maximum(w, 0.0)) @ V.T
@@ -583,7 +761,7 @@ def lovasz_theta(
         Z = Zn
         U = U + X - Zn
         if it % check_every == 0 or (r < res_tol and s < res_tol):
-            lo, up = certify(U, Z, rho)
+            lo, up = _theta_bracket(Z, _admm_edges(U, rho, ei, ej), ei, ej)
             best = (max(best[0], lo), min(best[1], up))
             if best[1] - best[0] <= tol:
                 return ThetaResult(
@@ -596,9 +774,36 @@ def lovasz_theta(
             elif s > 10 * r:
                 rho /= 2.0
                 U *= 2.0
-    lo, up = certify(U, Z, rho)
+    lo, up = _theta_bracket(Z, _admm_edges(U, rho, ei, ej), ei, ej)
     best = (max(best[0], lo), min(best[1], up))
     return ThetaResult(0.5 * (best[0] + best[1]), best[0], best[1], it, False)
+
+
+def _admm_edges(U: np.ndarray, rho: float, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """Edge values of the ADMM upper bound: the dual PSD slack is
+    S = tI + Y - J = -rho U, so M = J - Y takes -S, symmetrized, on the edges."""
+    return 0.5 * (rho * U[ei, ej] + rho * U[ej, ei])
+
+
+def lovasz_theta(
+    g: Graph,
+    tol: float = 1e-6,
+    max_iter: int = 100_000,
+    max_vertices: int = THETA_VERTEX_LIMIT,
+    check_every: int = 250,
+) -> ThetaResult:
+    """theta(g) via the SDP max <J,X>, Tr X = 1, X_ij = 0 on edges, X >= 0.
+
+    ``scheme_theta`` first, at any size; otherwise ``admm_theta``, which
+    alone is capped at ``max_vertices``.  Both return a bracket certified
+    on the full n x n matrices.
+    """
+    if g.n == 0:
+        return ThetaResult(0.0, 0.0, 0.0, 0, True)
+    res = scheme_theta(g, tol)
+    if res is not None:
+        return res
+    return admm_theta(g, tol, max_iter, max_vertices, check_every)
 
 
 def theta_cycle_closed_form(m: int) -> float:
@@ -800,7 +1005,8 @@ def compute_report(
             rep.set("alpha_star", None, "skipped")
         if g.n <= THETA_VERTEX_LIMIT:
             th = lovasz_theta(g, tol=tol)
-            rep.set("theta", th.value, th.status, gap=th.gap, lower=th.lower, upper=th.upper)
+            rep.set("theta", th.value, th.status, route=th.route, gap=th.gap,
+                    lower=th.lower, upper=th.upper)
         else:
             rep.set("theta", None, "skipped")
     if hilbert_dim is not None and chi.exact:

@@ -303,10 +303,10 @@ def test_c06_trace_formula_agreement():
 # ---------------------------------------------------------------------------
 
 TABLE4 = {
-    2: {"alpha": 3, "lmax": 3.414, "theta": 3.414, "bound": 2},
-    3: {"alpha": 6, "lmax": 6.412, "theta": 7.098, "bound": 9},
-    5: {"alpha": 12, "lmax": 13.090, "theta": 18.090, "bound": 35},
-    7: {"alpha": 19, "lmax": 19.411, "bound": 84},
+    2: {"alpha": 3, "lmax": 3.414, "theta": 3.414214, "bound": 2},
+    3: {"alpha": 6, "lmax": 6.412, "theta": 7.098076, "bound": 9},
+    5: {"alpha": 12, "lmax": 13.090, "theta": 18.090170, "bound": 35},
+    7: {"alpha": 19, "lmax": 19.411, "theta": 33.760130, "bound": 84},
 }
 
 
@@ -340,22 +340,37 @@ def test_c07_chsh_theta_small_d(chsh):
 
 def test_c07_chsh_d7_structure(chsh):
     sc = chsh(7)
+    th = lovasz_theta(sc.graph, tol=1e-6)
     ok = sc.graph.n == 343
     ok &= sc.graph.is_regular() == 78
     ok &= abs(sc.qm_value - TABLE4[7]["lmax"]) < 1e-3
     ok &= sc.nchv_bound.exact and sc.nchv_bound.size == TABLE4[7]["alpha"]
     ok &= 7 * sc.nchv_bound.size - 49 == TABLE4[7]["bound"]
+    ok &= th.route == "scheme" and th.converged and th.gap <= 1e-6
+    ok &= abs(th.value - TABLE4[7]["theta"]) < 1e-6
     record(
         "criterion 07 CHSH d=7 structure",
         ok,
         f"|G|={sc.graph.n}, reg={sc.graph.is_regular()}, lmax={sc.qm_value:.4f}, "
-        f"alpha={sc.nchv_bound.size} by strategies; theta skipped by design",
+        f"alpha={sc.nchv_bound.size} by strategies, theta={th.value:.6f} by the "
+        f"association scheme (certified gap {th.gap:.1e})",
     )
 
 
+def test_c07_chsh_theta_pinned(chsh):
+    details = []
+    ok = True
+    for d in (2, 3, 5, 7):
+        th = lovasz_theta(chsh(d).graph, tol=1e-6)
+        ok &= th.converged and th.gap <= 1e-6
+        ok &= abs(th.value - TABLE4[d]["theta"]) < 1e-6
+        details.append(f"d={d}: {th.value:.7f} ({th.route})")
+    record("criterion 07 theta to 1e-6", ok, "; ".join(details))
+
+
 def test_c07_chsh_theta_d5(chsh):
-    # stated as an extended-budget item, but the certified ADMM bracket
-    # reaches the 5e-2 tolerance in about a second at 125 vertices
+    # stated as an extended-budget item; the association scheme gives the
+    # certified bracket in well under a second at 125 vertices
     th = lovasz_theta(chsh(5).graph, tol=1e-3, max_iter=400_000)
     record(
         "criterion 07 theta d=5",

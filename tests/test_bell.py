@@ -4,19 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quditctx import bell
 from quditctx.bell import (
     MAX_CHSH_DIMENSION,
     _single_eigenstate,
     alternate_chsh_scenario,
     chsh_block_labels,
     chsh_operator,
+    chsh_scenario,
     iter_alternate_chsh_solutions,
     kcbs_scenario,
     kcbs_vectors,
     peres_mermin,
     regularity_conjecture_check,
 )
-from quditctx.errors import UnsupportedDimensionError
+from quditctx.errors import DecompositionMismatchError, UnsupportedDimensionError
 from quditctx.graphs import Graph, find_isomorphism
 from quditctx.invariants import (
     fractional_packing,
@@ -153,6 +155,23 @@ def test_scenario_projectors_are_valid_rank1(chsh):
     # Sigma reconstructs the Bell operator
     b = chsh_operator(3).matrix
     assert np.abs(3 * sc.sigma - 9 * np.eye(9) - b).max() < 1e-9
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_kron_projectors_match_stabilizer_projectors(d, chsh):
+    sc = chsh(d)
+    for (z1, z2, _, a, b), proj in zip(sc.projector_labels, sc.projectors):
+        st = tensor_state(_single_eigenstate(d, z1, a), _single_eigenstate(d, z2, b))
+        assert np.abs(proj - st.projector_matrix()).max() < 1e-12
+
+
+def test_flipped_label_fails_identity_check(monkeypatch):
+    labels = chsh_block_labels(3)
+    flipped = dict(labels)
+    flipped[(1, 2)] = (labels[(1, 2)] + 1) % 3
+    monkeypatch.setattr(bell, "chsh_block_labels", lambda d: flipped)
+    with pytest.raises(DecompositionMismatchError):
+        chsh_scenario(3)
 
 
 def test_qubit_theta_value(chsh):

@@ -67,6 +67,21 @@ def test_chsh_row(capsys):
     assert payload["induced_odd_cycles"]["3"]["status"] == "absent"
 
 
+def test_chsh_d7_theta_from_scheme(capsys):
+    code, out = run(capsys, "chsh", "-d", "7", "--k-max", "2")
+    theta = json.loads(out)["theta"]
+    assert code == 0
+    assert theta["status"] == "tolerance" and theta["route"] == "scheme"
+    assert abs(theta["value"] - 33.76013) < 1e-6 and theta["gap"] <= 1e-6
+
+
+def test_invariants_theta_route(capsys):
+    code, out = run(capsys, "invariants", "-d", "2", "--family", "tot")
+    theta = json.loads(out)["theta"]
+    assert theta["status"] == "tolerance" and theta["route"] == "scheme"
+    assert abs(theta["value"] - 15.0) < 1e-9
+
+
 def test_pm_command(capsys):
     code, out = run(capsys, "pm")
     payload = json.loads(out)

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditctx import invariants
+from quditctx.bell import alternate_chsh_scenario, kcbs_scenario
 from quditctx.cli import cover_hint_by_basis
 from quditctx.errors import BudgetExceededError, InvalidHintError
 from quditctx.graphs import Graph, disjoint_union
 from quditctx.invariants import (
     _check_packing_duality,
     _k_colorable,
+    admm_theta,
     brute_alpha,
     brute_chi,
     brute_chibar,
@@ -20,6 +22,7 @@ from quditctx.invariants import (
     brute_omega,
     chromatic_number,
     clique_cover,
+    coherent_closure,
     compute_report,
     count_induced_cycles,
     fractional_packing,
@@ -29,6 +32,7 @@ from quditctx.invariants import (
     lovasz_theta,
     max_clique,
     maximal_cliques,
+    scheme_theta,
     theta_cycle_closed_form,
     verify_induced_cycle,
 )
@@ -288,8 +292,62 @@ def test_theta_complete_and_empty():
 
 
 def test_theta_cap():
+    # the cap holds on the ADMM route: pan(5) has no association scheme
     with pytest.raises(BudgetExceededError):
-        lovasz_theta(Graph.empty(10), max_vertices=5)
+        lovasz_theta(Graph.pan(5), max_vertices=5)
+
+
+def test_theta_scheme_route_is_uncapped():
+    res = lovasz_theta(Graph.empty(10), max_vertices=5)
+    assert res.route == "scheme" and res.converged
+    assert abs(res.value - 10.0) < 1e-9 and res.gap <= 1e-6
+
+
+# graphs with a small association scheme, each built from (chsh, ortho_graph)
+SCHEME_GRAPHS = [("kcbs", lambda chsh, og: kcbs_scenario().graph)]
+SCHEME_GRAPHS += [(f"chsh-d{d}", lambda chsh, og, d=d: chsh(d).graph) for d in (2, 3, 5)]
+SCHEME_GRAPHS += [(f"C{m}", lambda chsh, og, m=m: Graph.cycle(m)) for m in (5, 7, 9, 11, 13)]
+SCHEME_GRAPHS += [("K6", lambda chsh, og: Graph.complete(6)),
+                  ("empty6", lambda chsh, og: Graph.empty(6))]
+SCHEME_GRAPHS += [(f"d2-{k}", lambda chsh, og, k=k: og(2, k))
+                  for k in ("separable", "entangled", "total")]
+SCHEME_GRAPHS += [(f"single-d{d}", lambda chsh, og, d=d: og(d, "single")) for d in (3, 5)]
+
+
+@pytest.mark.parametrize("name,build", SCHEME_GRAPHS, ids=[c[0] for c in SCHEME_GRAPHS])
+def test_theta_scheme_matches_admm(name, build, chsh, ortho_graph):
+    g = build(chsh, ortho_graph)
+    scheme = scheme_theta(g)
+    admm = admm_theta(g)
+    assert scheme is not None and scheme.route == "scheme" and scheme.iterations == 0
+    assert scheme.status == "tolerance" and scheme.gap <= 1e-6
+    assert admm.route == "admm" and admm.converged
+    assert abs(scheme.value - admm.value) < 1e-5
+    # both brackets are certified, so they overlap
+    assert scheme.lower <= admm.upper + 1e-9 and admm.lower <= scheme.upper + 1e-9
+    assert lovasz_theta(g).route == "scheme"
+
+
+def test_theta_admm_route_without_scheme():
+    alt = alternate_chsh_scenario().scenario.graph
+    for g in (alt, Graph.pan(5)):
+        assert coherent_closure(g) is None
+        res = lovasz_theta(g)
+        assert res.route == "admm" and res.converged and res.iterations > 0
+
+
+@pytest.mark.parametrize("d,relations", [(2, 5), (3, 6), (5, 6)])
+def test_chsh_coherent_closure(d, relations, chsh):
+    g = chsh(d).graph
+    rel, p = coherent_closure(g)
+    assert len(p) == relations
+    assert len(set(rel.diagonal().tolist())) == 1
+    # the intersection numbers reproduce every product of relation matrices
+    mats = [(rel == k).astype(np.int64) for k in range(relations)]
+    for a in range(relations):
+        for b in range(relations):
+            want = sum(int(p[a, b, k]) * mats[k] for k in range(relations))
+            assert (mats[a] @ mats[b] == want).all()
 
 
 @given(st.data())
